@@ -149,7 +149,7 @@ def cmd_verify_psd(args) -> RunReport:
                     f"psd n={n} m={m} k={k} seed={args.seed + s}",
                     "pass" if rep.is_psd else "fail",
                     metric=rep.min_eigenvalue,
-                    tolerance=-rep.tolerance_used,
+                    tolerance=rep.threshold,
                 )
     return report
 
@@ -220,10 +220,14 @@ def cmd_hierarchy(args) -> RunReport:
     for m in range(pair.n - 1):
         mem = constraints.lambda_member(pair, m, d)
         members.append(mem.member)
-        worst = min(rep.min_eigenvalue for rep in mem.reports.values())
+        # the degree nearest to (or furthest past) its own threshold, so the
+        # level passes exactly when its metric reaches its tolerance
+        tightest = min(
+            mem.reports.values(), key=lambda rep: rep.min_eigenvalue - rep.threshold
+        )
         report.add(
             f"level m={m}", "pass" if mem.member else "fail",
-            metric=worst, tolerance=-symlin.DEFAULT_TOL,
+            metric=tightest.min_eigenvalue, tolerance=tightest.threshold,
         )
     delta = constraints.delta_member(pair)
     report.add("realizable set", "pass" if delta else "fail")

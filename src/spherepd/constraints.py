@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from . import symlin
-from .gegenbauer import coeffs_1d, _homogeneous_eval
+from .gegenbauer import _homogeneous
 from .spherical import PointConfiguration, kernel_values
 from .symlin import PsdReport, SymmetricMatrix
 
@@ -192,11 +192,12 @@ def euclid_kernel(points: PointConfiguration, m: int, k: int) -> SymmetricMatrix
     """Degree-k PSD kernel for points of arbitrary norm.
 
     Division-free form of the homogenized kernel: with x_i = |p_i|^2 and
-    u_i the level-m prefix, the entry is
+    u_i the level-m prefix, the entry is e^(k/2) G_k(d / sqrt(e)) with
 
-        sum_j c_j (t_ij - <u_i,u_j>)^j ((x_i - |u_i|^2)(x_j - |u_j|^2))^((k-j)/2)
+        d = t_ij - <u_i,u_j>,   e = (x_i - |u_i|^2)(x_j - |u_j|^2),
 
-    which is a polynomial in the original coordinates.  A zero vector
+    evaluated by the homogeneous recurrence in d and e, so it is a
+    polynomial in the original coordinates.  A zero vector
     contributes entry 0 for k >= 1 and 1 for k = 0 (the continuous limit).
     """
     n = points.n
@@ -208,8 +209,7 @@ def euclid_kernel(points: PointConfiguration, m: int, k: int) -> SymmetricMatrix
     d = t - u @ u.T
     slack = np.einsum("ij,ij->i", coords, coords) - np.einsum("ij,ij->i", u, u)
     e = np.outer(slack, slack)
-    vals = _homogeneous_eval(coeffs_1d(n - m, k).coeffs, d, e)
-    return SymmetricMatrix(np.asarray(vals), check=False)
+    return SymmetricMatrix(_homogeneous(n - m, k, d, e), check=False)
 
 
 def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix:
@@ -227,5 +227,4 @@ def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix
     if rank > n:
         raise ValueError(f"rank {rank} exceeds n = {n}; the PSD claim does not apply")
     e = np.outer(np.diag(arr), np.diag(arr))
-    vals = _homogeneous_eval(coeffs_1d(n, k).coeffs, arr, e)
-    return SymmetricMatrix(np.asarray(vals), check=False)
+    return SymmetricMatrix(_homogeneous(n, k, arr, e), check=False)

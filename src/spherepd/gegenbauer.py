@@ -5,17 +5,21 @@ k is, for |u|, |v| < 1,
 
     ((1-|u|^2)(1-|v|^2))^(k/2) * G_k^{(n-m)}( (t-<u,v>) / sqrt((1-|u|^2)(1-|v|^2)) )
 
-with G normalized so G(1) = 1.  All evaluation here is division-free:
-the parity of G_k^{(n-m)} makes every square root removable, so the
-boundary |u| = 1 evaluates exactly.
+with G normalized so G(1) = 1.  Every kernel here has this homogenized
+form e^(k/2) G_k(d / sqrt(e)), and one division-free three-term
+recurrence in d and e evaluates all of them (the one-dimensional
+polynomial is the case e = 1), so the boundary |u| = 1, where e = 0,
+evaluates exactly.  The addition coefficients come from their closed
+form (DLMF 18.18.8) in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -78,14 +82,7 @@ def _check_nk(n: int, k: int) -> None:
 def eval_1d(n: int, k: int, t):
     """G_k for dimension parameter n at t (scalar or array), by recurrence."""
     _check_nk(n, k)
-    t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = t.copy()
-    for j in range(2, k + 1):
-        prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
-    return cur if cur.ndim else float(cur)
+    return _homogeneous(n, k, t, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -105,21 +102,43 @@ def coeffs_1d(n: int, k: int) -> GegenbauerPolynomial:
     return GegenbauerPolynomial(n, k, tuple(cur))
 
 
-def _homogeneous_eval(coeffs: tuple[float, ...], d, e):
-    """Sum of coeffs[j] * d^j * e^((k-j)/2) over j with the parity of k.
+def _homogeneous(nu: int, k: int, d, e):
+    """e^(k/2) * G_k^{(nu)}(d / sqrt(e)) for e >= 0, division-free.
 
-    d and e may be scalars or broadcastable arrays; e >= 0 is assumed.
-    The exponent (k-j)/2 is an integer whenever coeffs[j] != 0.
+    Runs the three-term recurrence of H_j = e^(j/2) G_j(d / sqrt(e)):
+    H_0 = 1, H_1 = d and
+
+        H_j = ((2j+nu-4) d H_{j-1} - (j-1) e H_{j-2}) / (j+nu-3),
+
+    which holds no square root and no division by e, so e = 0 is exact.
+    Python scalars stay floats throughout.  Arrays broadcast; the
+    recurrence then updates three work buffers in place and never writes
+    into d or e.
     """
+    if isinstance(d, (int, float)) and isinstance(e, (int, float)):
+        d, e = float(d), float(e)
+        if k == 0:
+            return 1.0
+        prev, cur = 1.0, d
+        for j in range(2, k + 1):
+            nxt = ((2 * j + nu - 4) * (d * cur) - (j - 1) * (e * prev)) / (j + nu - 3)
+            prev, cur = cur, nxt
+        return cur
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
-    k = len(coeffs) - 1
-    out = np.zeros(np.broadcast(d, e).shape)
-    for j in range(k % 2, k + 1, 2):
-        c = coeffs[j]
-        if c != 0.0:
-            out += c * d**j * e ** ((k - j) // 2)
-    return out if out.ndim else float(out)
+    shape = np.broadcast_shapes(d.shape, e.shape)
+    cur = np.ones(shape) if k == 0 else np.array(np.broadcast_to(d, shape))
+    if k >= 2:
+        prev, tmp = np.ones(shape), np.empty(shape)
+        for j in range(2, k + 1):
+            np.multiply(d, cur, out=tmp)
+            tmp *= 2 * j + nu - 4
+            np.multiply(e, prev, out=prev)
+            prev *= j - 1
+            tmp -= prev
+            tmp /= j + nu - 3
+            prev, cur, tmp = cur, tmp, prev
+    return cur if cur.ndim else float(cur)
 
 
 def _uv_arrays(u, v, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +157,7 @@ def eval_mv(n: int, m: int, k: int, t: float, u=(), v=()) -> float:
     u, v = _uv_arrays(u, v, m)
     d = t - float(u @ v)
     e = (1.0 - float(u @ u)) * (1.0 - float(v @ v))
-    return _homogeneous_eval(coeffs_1d(n - m, k).coeffs, d, e)
+    return _homogeneous(n - m, k, d, e)
 
 
 def domain_gap(t: float, u, v) -> float:
@@ -201,80 +220,43 @@ def _gauss_legendre(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndar
     return a + half * (x + 1.0), half * w
 
 
-_PROJECTION_NODES = 64
-_THETA_CANDIDATES = (0.6, 0.8, 1.0, 1.2, 1.4)
+def _rising(a, j: int):
+    """The rising factorial (a)_j = a (a+1) ... (a+j-1)."""
+    return prod(a + i for i in range(j))
 
 
 @lru_cache(maxsize=None)
 def addition_coefficients(n: int, k: int) -> AdditionCoefficients:
-    """Coefficients of the classical addition identity, recovered numerically.
+    """Coefficients of the Gegenbauer addition theorem, from its closed form.
 
-    For each s the identity at theta_1 = theta_2 = theta is projected onto
-    G_s of dimension parameter n-1 with Gauss-Legendre quadrature in the
-    angle phi against weight (sin phi)^(n-3); theta is chosen from a short
-    candidate list to keep the s-term projector well conditioned.
+    With G normalized so G(1) = 1, the theorem (DLMF 18.18.8) reads
+
+        G_k^{(n)}(cos a cos b + sin a sin b cos phi)
+          = sum_s c[s] (sin a sin b)^s G_{k-s}^{(n+2s)}(cos a)
+                       G_{k-s}^{(n+2s)}(cos b) G_s^{(n-1)}(cos phi)
+
+    and, with N = n - 2 and (x)_j the rising factorial, c[0] = 1 and
+
+        c[s] = C(k,s) 4^s ((N/2)_s)^2 (N+k)_s (N+2s-1) (N)_{s-1} / ((N)_{2s})^2.
+
+    The values are computed in exact rationals and stored as floats.
     """
     if n < 3:
         raise ValueError(f"dimension parameter must be >= 3, got {n}")
     _check_nk(n, k)
-    if k == 0:
-        return AdditionCoefficients(n, 0, (1.0,))
-
-    phi, wphi = _gauss_legendre(_PROJECTION_NODES, 0.0, np.pi)
-    x = np.cos(phi)
-    weight = wphi * np.sin(phi) ** (n - 3)
-
-    c = np.empty(k + 1)
-    for s in range(k + 1):
-        gs = eval_1d(n - 1, s, x)
-        norm_s = float(np.sum(gs * gs * weight))
-        # pick theta with the largest projector denominator
-        best = None
-        for theta in _THETA_CANDIDATES:
-            denom = (
-                eval_1d(n + 2 * s, k - s, np.cos(theta)) ** 2 * np.sin(theta) ** (2 * s)
-            )
-            if best is None or abs(denom) > abs(best[1]):
-                best = (theta, denom)
-        theta, denom = best
-        lhs = eval_1d(
-            n, k, np.cos(theta) ** 2 + np.sin(theta) ** 2 * x
+    big_n = n - 2
+    c = [Fraction(1)]
+    for s in range(1, k + 1):
+        num = (
+            comb(k, s)
+            * 4**s
+            * _rising(Fraction(big_n, 2), s) ** 2
+            * _rising(big_n + k, s)
+            * (big_n + 2 * s - 1)
+            * _rising(big_n, s - 1)
         )
-        proj = float(np.sum(lhs * gs * weight))
-        c[s] = proj / (norm_s * denom)
-
-    if abs(c[0] - 1.0) > 1e-9:
-        raise ArithmeticError(
-            f"recovered c[0] = {c[0]!r} differs from 1; quadrature order too low"
-        )
-    residual = _addition_residual(n, k, tuple(c))
-    if residual > 1e-8:
-        raise ArithmeticError(
-            f"addition identity residual {residual:.3e} exceeds 1e-8"
-        )
-    return AdditionCoefficients(n, k, tuple(c))
-
-
-def _addition_residual(n: int, k: int, c: tuple[float, ...]) -> float:
-    """Max residual of the addition identity at seeded random angle triples."""
-    rng = rng_for(0x5EED, n, k)
-    worst = 0.0
-    for _ in range(50):
-        t1, t2, phi = rng.uniform(0.1, np.pi - 0.1, size=3)
-        lhs = eval_1d(
-            n, k, np.cos(t1) * np.cos(t2) + np.sin(t1) * np.sin(t2) * np.cos(phi)
-        )
-        rhs = 0.0
-        for s in range(k + 1):
-            rhs += (
-                c[s]
-                * eval_1d(n + 2 * s, k - s, np.cos(t1))
-                * eval_1d(n + 2 * s, k - s, np.cos(t2))
-                * (np.sin(t1) * np.sin(t2)) ** s
-                * eval_1d(n - 1, s, np.cos(phi))
-            )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        c.append(num / _rising(big_n, 2 * s) ** 2)
+    return AdditionCoefficients(n, k, tuple(float(x) for x in c))
 
 
 def addition_term(u, n: int, m: int, k: int, s: int) -> float:
@@ -282,9 +264,9 @@ def addition_term(u, n: int, m: int, k: int, s: int) -> float:
 
     With nu = n - m + 1 (the effective dimension parameter at level m-1),
     equals sqrt(c[s]) * w^(k-s) * G_{k-s} of dimension parameter nu+2s at
-    u_m / w, with w^2 = 1 - u_1^2 - ... - u_{m-1}^2, evaluated through the
-    homogenized monomial form so w = 0 is regular.  The coefficients c are
-    the addition coefficients for (nu, k).
+    u_m / w, with w^2 = 1 - u_1^2 - ... - u_{m-1}^2, evaluated by the
+    homogeneous recurrence in (u_m, w^2) so w = 0 is regular.  The
+    coefficients c are the addition coefficients for (nu, k).
     """
     if not 1 <= m <= n - 2:
         raise ValueError(f"level m={m} out of range [1, {n - 2}]")
@@ -295,15 +277,8 @@ def addition_term(u, n: int, m: int, k: int, s: int) -> float:
         raise ValueError(f"u must have length m={m}")
     nu = n - m + 1
     w2 = 1.0 - float(u[: m - 1] @ u[: m - 1])
-    um = float(u[m - 1])
-    coeffs = coeffs_1d(nu + 2 * s, k - s).coeffs
-    d = k - s
-    val = 0.0
-    for j in range(d % 2, d + 1, 2):
-        if coeffs[j] != 0.0:
-            val += coeffs[j] * um**j * w2 ** ((d - j) // 2)
-    root = addition_coefficients(nu, k).c[s]
-    return float(np.sqrt(root) * val)
+    val = _homogeneous(nu + 2 * s, k - s, float(u[m - 1]), w2)
+    return sqrt(addition_coefficients(nu, k).c[s]) * val
 
 
 def _t_power_coefficient(n: int, m: int, k: int, i: int):
@@ -397,8 +372,8 @@ def orthogonality_mc(
     t = np.einsum("ij,ij->i", x, y)
     d = t - np.einsum("ij,ij->i", u, v)
     e = (1.0 - np.einsum("ij,ij->i", u, u)) * (1.0 - np.einsum("ij,ij->i", v, v))
-    vals = _homogeneous_eval(coeffs_1d(n - m, k).coeffs, d, e)
-    vals = vals * _homogeneous_eval(coeffs_1d(n - m, l).coeffs, d, e)
+    vals = _homogeneous(n - m, k, d, e)
+    vals *= _homogeneous(n - m, l, d, e)
     if f is not None:
         vals = vals * np.asarray(f(u, v), dtype=float)
     est = float(np.mean(vals))
@@ -459,13 +434,12 @@ def orthogonality_quad(n: int, m: int, k: int, l: int, q=None) -> float:
     # rho * dt/ds = e^((n-m-2)/2), nonnegative for every m <= n-2
     pair_part = wp * qvals * e ** ((nm - 2) / 2.0)
 
-    ck = coeffs_1d(nm, k).coeffs
-    cl = coeffs_1d(nm, l).coeffs
     total = 0.0
     sqrt_e = np.sqrt(e)
     for si, wsi in zip(s, ws):
         d = si * sqrt_e
-        vals = _homogeneous_eval(ck, d, e) * _homogeneous_eval(cl, d, e)
+        vals = _homogeneous(nm, k, d, e)
+        vals *= _homogeneous(nm, l, d, e)
         total += wsi * float(np.sum(vals * pair_part))
     return total
 

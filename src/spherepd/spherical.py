@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symlin
-from .gegenbauer import _homogeneous_eval, coeffs_1d, eval_1d, monomial_vector
+from .gegenbauer import _homogeneous, eval_1d, monomial_vector
 from .randgen import rng_for
 from .symlin import PsdReport, SymmetricMatrix
 
@@ -147,7 +147,7 @@ def kernel_values(
     au = 1.0 - np.einsum("ij,ij->i", u, u)
     av = 1.0 - np.einsum("ij,ij->i", v, v)
     e = np.outer(au, av)
-    return np.asarray(_homogeneous_eval(coeffs_1d(n - m, k).coeffs, d, e))
+    return _homogeneous(n - m, k, d, e)
 
 
 def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
@@ -183,14 +183,13 @@ def bv_matrices(
     if weights.size != d + 1:
         raise ValueError(f"need d+1 = {d + 1} weights, got {weights.size}")
     t = points.coords @ points.coords.T
-    coeffs = coeffs_1d(n - 1, k).coeffs
     ys = []
     total = np.zeros((d + 1, d + 1))
     for l in range(points.size):
         tl = t[:, l]
         dmat = t - np.outer(tl, tl)
         e = np.outer(1.0 - tl**2, 1.0 - tl**2)
-        a_l = np.asarray(_homogeneous_eval(coeffs, dmat, e))
+        a_l = _homogeneous(n - 1, k, dmat, e)
         w = np.vstack([weights[i] * eval_1d(n + 2 * k, i, tl) for i in range(d + 1)])
         y = w @ a_l @ w.T
         y = 0.5 * (y + y.T)

@@ -84,6 +84,11 @@ class PsdReport:
     is_psd: bool
     tolerance_used: float
 
+    @property
+    def threshold(self) -> float:
+        """Smallest eigenvalue the test accepts: -tol * max(scale, 1)."""
+        return -self.tolerance_used * max(self.matrix_scale, 1.0)
+
 
 def _as_array(a) -> np.ndarray:
     if isinstance(a, SymmetricMatrix):
@@ -134,7 +139,7 @@ def _rank_mask(w: np.ndarray, tol: float) -> np.ndarray:
         raise ValueError(
             f"matrix is not PSD (min eigenvalue {report.min_eigenvalue:.3e})"
         )
-    return w > tol * max(report.matrix_scale, 1.0)
+    return w > -report.threshold
 
 
 def is_psd(a, tol: float = DEFAULT_TOL) -> PsdReport:

@@ -40,6 +40,16 @@ class TestVerifyPsd:
         assert report["command"] == "verify-psd"
         assert all(c["status"] == "pass" for c in report["checks"])
 
+    def test_high_degree_sweep_passes(self, capsys):
+        # every one of these 42 kernel matrices is PSD; degree <= 30 needs
+        # an evaluator accurate to rounding, not a monomial sum
+        rc = main(["verify-psd", "--n", "3", "--m", "0..1", "--k", "24..30",
+                   "--r", "60", "--seeds", "3"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert len(report["checks"]) == 42
+        assert all(c["status"] == "pass" for c in report["checks"])
+
     def test_level_range_guard(self, capsys):
         rc = main(["verify-psd", "--n", "3", "--m", "2..2", "--k", "1"])
         assert rc == 2
@@ -83,6 +93,42 @@ class TestVerifyAddition:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["checks"]) == 6
+
+
+class TestToleranceColumn:
+    """The printed tolerance is the threshold the PSD test applied, so a
+    check passes exactly when its metric reaches its tolerance."""
+
+    @staticmethod
+    def assert_status_follows_tolerance(checks):
+        for c in checks:
+            assert (c["status"] == "pass") == (c["metric"] >= c["tolerance"]), c
+
+    def test_verify_psd(self, capsys):
+        for n, m, k in [(3, "0..1", "1..4"), (5, "0..3", "0..6")]:
+            rc = main(["verify-psd", "--n", str(n), "--m", m, "--k", k,
+                       "--r", "30", "--seeds", "2"])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert rc == 0
+            # matrix scale > 1 makes the applied threshold wider than -1e-8
+            assert min(c["tolerance"] for c in checks) < -1e-8
+            self.assert_status_follows_tolerance(checks)
+
+    def test_hierarchy(self, tmp_path, capsys):
+        good = pair_from_points(sample_sphere(5, 12, seed=3))
+        bad = make_pair(SymmetricMatrix([[1.0, -0.99], [-0.99, 1.0]]),
+                        [[0.99, 0.0, 0.0], [0.99, 0.0, 0.0]], 4)
+        statuses = set()
+        for name, pair in (("good", good), ("bad", bad)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize.pair_to_json(pair))
+            main(["hierarchy", str(path), "--degree", "4"])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            levels = [c for c in checks if c["name"].startswith("level")]
+            assert min(c["tolerance"] for c in levels) < -1e-8
+            self.assert_status_follows_tolerance(levels)
+            statuses |= {c["status"] for c in levels}
+        assert statuses == {"pass", "fail"}
 
 
 class TestHierarchy:

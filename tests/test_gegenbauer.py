@@ -110,6 +110,35 @@ class TestEvalMv:
         val = gg.eval_mv(6, 2, 3, float(u @ v), u, v)
         assert np.isfinite(val)
 
+    def test_degree_30_accuracy(self):
+        # dimension parameter 3 is the Legendre case; a monomial-sum
+        # evaluation loses about 1e-6 here, the recurrence stays at rounding
+        from math import comb
+
+        from scipy.special import eval_legendre
+
+        k = 30
+        x = np.linspace(-1.0, 1.0, 401)
+        exact = eval_legendre(k, x)
+        assert np.max(np.abs(gg.eval_1d(3, k, x) - exact)) < 1e-13
+        level0 = np.array([gg.eval_mv(3, 0, k, float(t)) for t in x])
+        assert np.max(np.abs(level0 - exact)) < 1e-13
+        # level 1 of n = 4 is Legendre again, scaled by e^(k/2)
+        u, v = np.array([0.3]), np.array([-0.2])
+        e = (1.0 - u @ u) * (1.0 - v @ v)
+        level1 = np.array(
+            [gg.eval_mv(4, 1, k, float(u @ v + s * np.sqrt(e)), u, v) for s in x]
+        )
+        assert np.max(np.abs(level1 / e ** (k / 2) - exact)) < 1e-13
+        # on the boundary |u| = 1 (e = 0) the value is the limit lead * d^k,
+        # with lead = C(2k, k) / 2^k the leading Legendre coefficient
+        lead = comb(2 * k, k) / 2**k
+        u, v = np.array([1.0]), np.array([0.4])
+        for t in np.linspace(-1.0, 1.0, 9):
+            val = gg.eval_mv(4, 1, k, float(t), u, v)
+            assert np.isfinite(val)
+            assert val == pytest.approx(lead * (t - 0.4) ** k, rel=1e-13)
+
     def test_domain_gap(self):
         assert gg.domain_gap(0.0, [0.0], [0.0]) == pytest.approx(1.0)
         assert gg.in_domain(0.2, [0.1], [0.3])
@@ -154,6 +183,36 @@ class TestAddition:
         # c = (1, 5/2, 15/16)
         c = gg.addition_coefficients(5, 2).c
         assert np.allclose(c, [1.0, 2.5, 0.9375], atol=1e-10)
+
+    def test_closed_form_exact_values(self):
+        assert gg.addition_coefficients(4, 4).c == pytest.approx(
+            [1.0, 8.0, 56 / 5, 128 / 25, 128 / 175], rel=1e-15
+        )
+        assert gg.addition_coefficients(3, 4).c == pytest.approx(
+            [1.0, 10.0, 45 / 4, 35 / 8, 35 / 64], rel=1e-15
+        )
+
+    def test_one_dimensional_identity(self):
+        # G_k^(n)(cos a cos b + sin a sin b cos phi) = sum_s c[s]
+        #   (sin a sin b)^s G_{k-s}^(n+2s)(cos a) G_{k-s}^(n+2s)(cos b) G_s^(n-1)(cos phi)
+        for n in range(3, 9):
+            for k in range(9):
+                c = gg.addition_coefficients(n, k).c
+                rng = rng_for(0x5EED, n, k)
+                for _ in range(50):
+                    a, b, phi = rng.uniform(0.1, np.pi - 0.1, size=3)
+                    lhs = gg.eval_1d(
+                        n, k, np.cos(a) * np.cos(b) + np.sin(a) * np.sin(b) * np.cos(phi)
+                    )
+                    rhs = sum(
+                        c[s]
+                        * (np.sin(a) * np.sin(b)) ** s
+                        * gg.eval_1d(n + 2 * s, k - s, np.cos(a))
+                        * gg.eval_1d(n + 2 * s, k - s, np.cos(b))
+                        * gg.eval_1d(n - 1, s, np.cos(phi))
+                        for s in range(k + 1)
+                    )
+                    assert abs(lhs - rhs) < 1e-12
 
     def test_identity_residual_multivariate(self):
         for n, m, k in [(6, 2, 4), (5, 1, 5), (8, 6, 3), (4, 2, 5)]:
