@@ -254,7 +254,7 @@ def cmd_bound(args) -> RunReport:
         n = int(cfg["n"])
         theta = parse_theta(str(cfg["theta"])) if args.theta is None else parse_theta(args.theta)
         m = int(cfg.get("m", 0))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError) as exc:
         raise UsageError(f"bad bound configuration: {exc}") from None
     report = _new_report("bound", {"config": args.config, "n": n, "m": m}, args.seed)
     try:
@@ -289,7 +289,7 @@ def cmd_bound(args) -> RunReport:
     except codebounds.CertificateError as exc:
         report.add("certificate verified", "fail", metric=str(exc))
         return report
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise UsageError(f"bad bound configuration: {exc}") from None
     report.parameters["bound"] = bound
     print(f"bound: {bound}")
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         report = args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     rendered = report.to_csv() if args.format == "csv" else report.to_json()

@@ -425,9 +425,11 @@ def theorem61_bound(
 ) -> Theorem61Result:
     """Largest code size consistent with the counting inequality.
 
-    b_values maps collision patterns (other than the all-merged one,
-    whose value is f_diag) to upper bounds on the corresponding suprema;
-    missing patterns are asserted nonpositive and contribute zero.
+    b_values maps collision patterns of d = m + 2 (PartitionPattern or
+    parts tuple; not the all-merged one, whose value is f_diag) to upper
+    bounds on the corresponding suprema; missing patterns are asserted
+    nonpositive and contribute zero.  A key that is no such pattern raises
+    ValueError, since dropping its supremum would understate the bound.
     Scans integers upward; the left side eventually dominates because its
     degree exceeds the right side's once the all-distinct pattern drops
     out.
@@ -437,18 +439,24 @@ def theorem61_bound(
     if f0 <= 0:
         raise ValueError("f0 must be positive")
     d = m + 2
-    patterns = enumerate_patterns(d)
-    b_map = {}
-    for omega in patterns:
-        if omega.parts == (d,):
-            b_map[omega] = f_diag
-            continue
-        key = omega if omega in b_values else omega.parts
-        val = b_values.get(key, None) if isinstance(b_values, dict) else None
-        # missing or negative entries are clamped to zero: collision counts
-        # are nonnegative, so dropping a nonpositive term only weakens the
+    all_merged = PartitionPattern((d,))
+    b_map = dict.fromkeys(enumerate_patterns(d), 0.0)
+    b_map[all_merged] = f_diag
+    for key, val in b_values.items():
+        try:
+            omega = key if isinstance(key, PartitionPattern) else PartitionPattern(key)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"supremum key {key!r} is not a pattern: {exc}") from None
+        if omega.d != d:
+            raise ValueError(f"supremum key {key!r} sums to {omega.d}, not m + 2 = {d}")
+        if omega == all_merged:
+            raise ValueError(
+                f"supremum key {key!r} is the all-merged pattern, whose value is f_diag"
+            )
+        # negative entries are clamped to zero: collision counts are
+        # nonnegative, so dropping a nonpositive term only weakens the
         # right side upward
-        b_map[omega] = max(float(val), 0.0) if val is not None else 0.0
+        b_map[omega] = max(float(val), 0.0)
 
     all_distinct = PartitionPattern((1,) * d)
     if b_map[all_distinct] > 0:

@@ -179,12 +179,12 @@ def reconstruct(
         raise ValueError("pair is not in the realizable set")
     n, r = pair.n, pair.r
     x0 = augment(pair, 0).x
-    rank = symlin.psd_rank(x0, RANK_TOL)
+    q = symlin.realize(x0, RANK_TOL)
+    rank = q.shape[1]
     if rank > n:
         raise ValueError(f"augmented matrix has numerical rank {rank} > n = {n}")
-    q = symlin.realize(x0, RANK_TOL)
-    if q.shape[1] < n:
-        q = np.hstack([q, np.zeros((q.shape[0], n - q.shape[1]))])
+    if rank < n:
+        q = np.hstack([q, np.zeros((q.shape[0], n - rank))])
     return PointConfiguration(n, q[:r]), q[r:]
 
 

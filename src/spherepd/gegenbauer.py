@@ -364,6 +364,8 @@ def orthogonality_mc(
         raise ValueError("need at least 1000 samples")
     if m < 0 or m > n - 2:
         raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_nk(n - m, k)
+    _check_nk(n - m, l)
     rng = rng_for(seed, n, m, k, l)
     x = _sphere_sample(rng, n, samples)
     y = _sphere_sample(rng, n, samples)
@@ -407,41 +409,34 @@ def _ball_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
 def orthogonality_quad(n: int, m: int, k: int, l: int, q=None) -> float:
     """Deterministic quadrature of the weighted orthogonality integral.
 
-    Uses the substitution t = s * sqrt((1-|u|^2)(1-|v|^2)) + <u,v>, with
-    Gauss-Legendre in the angle of s and polar quadrature over the unit
-    balls in u and v.  Returns the value of the integral; for k != l it
-    vanishes to quadrature precision.
+    With e = (1-|u|^2)(1-|v|^2), t = s sqrt(e) + <u,v> turns the kernel into
+    e^(k/2) G_k(s) and the density of t into e^((n-m-2)/2) (1-s^2)^((n-m-3)/2),
+    so the integral is line * ball:
+
+        line = integral of G_k(s) G_l(s) (1-s^2)^((n-m-3)/2) over s in [-1, 1],
+        ball = a^T Q a,  a_i = w_i (1-|x_i|^2)^((n-m-2+k+l)/2),  Q_ij = q(x_i, x_j),
+
+    by Gauss-Legendre in the angle of s and on the polar ball nodes x_i with
+    weights w_i.  For k != l, line vanishes to quadrature precision.
     """
     if m < 0 or m > 2:
         raise ValueError("deterministic quadrature supports m <= 2 only")
     if m > n - 2:
         raise ValueError(f"level m={m} out of range [0, {n - 2}]")
     nm = n - m
-    ns = max(32, k + l + 8)
-    phi, wphi = _gauss_legendre(ns, 0.0, np.pi)
-    s = np.cos(phi)
-    ws = wphi * np.sin(phi) ** (nm - 2)
+    phi, wphi = _gauss_legendre(max(32, k + l + 8), 0.0, np.pi)
+    s = np.cos(phi)  # (1-s^2)^((n-m-3)/2) ds = sin(phi)^(n-m-2) dphi
+    gk, gl = eval_1d(nm, k, s), eval_1d(nm, l, s)
+    line = float(np.sum(wphi * np.sin(phi) ** (nm - 2) * gk * gl))
 
     pts, wb = _ball_quadrature(m)
-    # all (u, v) pairs on the tensor grid
-    pu = np.repeat(pts, pts.shape[0], axis=0)
-    pv = np.tile(pts, (pts.shape[0], 1))
-    wp = np.outer(wb, wb).ravel()
-    ip = np.einsum("ij,ij->i", pu, pv)
-    e = (1.0 - np.einsum("ij,ij->i", pu, pu)) * (1.0 - np.einsum("ij,ij->i", pv, pv))
-    qvals = np.ones_like(e) if q is None else np.asarray(q(pu, pv), dtype=float)
-    # (1-s^2)^((n-m-3)/2) is folded into ws; the remaining u,v factor is
-    # rho * dt/ds = e^((n-m-2)/2), nonnegative for every m <= n-2
-    pair_part = wp * qvals * e ** ((nm - 2) / 2.0)
-
-    total = 0.0
-    sqrt_e = np.sqrt(e)
-    for si, wsi in zip(s, ws):
-        d = si * sqrt_e
-        vals = _homogeneous(nm, k, d, e)
-        vals *= _homogeneous(nm, l, d, e)
-        total += wsi * float(np.sum(vals * pair_part))
-    return total
+    a = wb * (1.0 - np.einsum("ij,ij->i", pts, pts)) ** ((nm - 2 + k + l) / 2.0)
+    size = pts.shape[0]  # q sees the (u, v) grid as two (size^2, m) arrays
+    qvals = (
+        np.ones(size * size) if q is None
+        else np.asarray(q(np.repeat(pts, size, axis=0), np.tile(pts, (size, 1))), dtype=float)
+    )
+    return line * float(a @ qvals.reshape(size, size) @ a)
 
 
 def addition_residual(n: int, m: int, k: int, samples: int = 100, seed: int = 0) -> float:

@@ -42,24 +42,12 @@ __all__ = [
 
 def matrix_to_json(a) -> str:
     m = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)
-    arr = m.array
-    upper = [float(arr[i, j]) for i in range(m.dim) for j in range(i, m.dim)]
-    return json.dumps({"dim": m.dim, "upper": upper})
+    return json.dumps({"dim": m.dim, "upper": m.upper.tolist()})
 
 
 def matrix_from_json(text: str) -> SymmetricMatrix:
     obj = json.loads(text)
-    dim = int(obj["dim"])
-    upper = list(obj["upper"])
-    if len(upper) != dim * (dim + 1) // 2:
-        raise ValueError("upper triangle length does not match dim")
-    arr = np.zeros((dim, dim))
-    pos = 0
-    for i in range(dim):
-        for j in range(i, dim):
-            arr[i, j] = arr[j, i] = upper[pos]
-            pos += 1
-    return SymmetricMatrix(arr, check=False)
+    return SymmetricMatrix.from_upper(int(obj["dim"]), obj["upper"])
 
 
 def matrix_to_csv(a) -> str:

@@ -201,6 +201,18 @@ class TestBound:
         path.write_text("{broken")
         assert main(["bound", str(path)]) == 2
 
+    def test_unmatched_supremum_key(self, tmp_path, capsys):
+        # "1+2" is not weakly decreasing; dropping it would print bound 2.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "n": 4, "theta": "pi/3", "m": 1,
+            "f0": 0.25, "f_diag": 2.0, "B": {"1+2": 5.0},
+        }))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bound:" not in captured.out
+        assert "(1, 2)" in captured.err
+
 
 class TestCodes:
     def test_named_code_audit(self, capsys):
@@ -230,6 +242,25 @@ class TestCodes:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-psd", "--n", "3", "--r", "0", "--k", "1"],
+            ["verify-orthogonality", "--n", "3", "--k", "1", "--l", "2", "--samples", "10"],
+            ["verify-orthogonality", "--n", "3", "--k", "-1", "--l", "2"],
+            ["verify-addition", "--n", "4", "--k", "-1"],
+            ["hierarchy", "PAIR", "--degree", "0"],
+        ],
+    )
+    def test_input_errors_exit_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text(serialize.pair_to_json(pair_from_points(sample_sphere(4, 5, seed=7))))
+        argv = [str(path) if a == "PAIR" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_reproducible_reports(self, capsys):
         argv = ["verify-psd", "--n", "4", "--m", "0..1", "--k", "2",

@@ -193,6 +193,25 @@ class TestTheorem61:
         with pytest.raises(ValueError):
             theorem61_bound(0, 0.0, 1.0, {})
 
+    @pytest.mark.parametrize(
+        "key, reason",
+        [
+            ((1, 2), "weakly decreasing"),  # not a valid pattern
+            ((2, 1, 1), "sums to 4"),  # a pattern of d = 4, not m + 2 = 3
+            ((3,), "all-merged"),  # its value is f_diag
+            (PartitionPattern((3,)), "all-merged"),
+        ],
+    )
+    def test_rejects_unmatched_key(self, key, reason):
+        # a silently dropped supremum would understate the bound
+        with pytest.raises(ValueError, match=reason):
+            theorem61_bound(1, 0.25, 2.0, {key: 5.0})
+
+    def test_pattern_and_tuple_keys_agree(self):
+        by_tuple = theorem61_bound(1, 0.25, 2.0, {(2, 1): 5.0})
+        by_pattern = theorem61_bound(1, 0.25, 2.0, {PartitionPattern((2, 1)): 5.0})
+        assert by_tuple == by_pattern and by_tuple.n_max == 59
+
 
 class TestEstimateB:
     def make_problem(self, n=4, theta=pi / 2, m=1):

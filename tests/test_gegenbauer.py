@@ -1,5 +1,7 @@
 """One-dimensional and multivariate Gegenbauer polynomials."""
 
+from math import comb, gamma, pi, sqrt
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,46 @@ class TestOrthogonality:
 
     def test_quadrature_positive_norm(self):
         assert gg.orthogonality_quad(6, 1, 3, 3) > 0.0
+
+    @staticmethod
+    def closed_form_norm(n, m, k):
+        """line * ball in closed form: the line factor is the squared norm of
+        G_k against (1-s^2)^((nu-3)/2) (h harmonics of degree k on S^(nu-1)),
+        the ball factor the m-ball integral of (1-|x|^2)^p, squared."""
+        nu = n - m
+        h = comb(k + nu - 1, nu - 1) - (comb(k + nu - 3, nu - 1) if k >= 2 else 0)
+        line = sqrt(pi) * gamma((nu - 1) / 2) / gamma(nu / 2) / h
+        p = (nu - 2 + 2 * k) / 2
+        ball = pi ** (m / 2) * gamma(p + 1) / gamma(p + 1 + m / 2)
+        return line * ball**2
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_quadrature_norm_closed_form(self, m):
+        # n - m even keeps the ball exponent an integer, where the ball's
+        # Gauss-Legendre rule is exact; the diagonal is the only place a
+        # wrong ball exponent shows, as the off-diagonal line factor is 0
+        for n in range(m + 2, 9):
+            if (n - m) % 2:
+                continue
+            for k in range(7):
+                expected = self.closed_form_norm(n, m, k)
+                got = gg.orthogonality_quad(n, m, k, k)
+                assert got == pytest.approx(expected, rel=1e-12), (n, m, k)
+
+    def test_homogeneity_identity(self):
+        # _homogeneous(nu, k, s sqrt(e), e) = e^(k/2) G_k(s), the identity
+        # that lets the quadrature integrate G_k in s alone
+        rng = rng_for(61, 0)
+        s = rng.uniform(-1.0, 1.0, size=200)
+        e = np.concatenate([[0.0, 0.0, 1.0], rng.uniform(0.0, 1.0, size=197)])
+        for nu in range(2, 10):
+            for k in range(13):
+                expected = e ** (k / 2) * gg.eval_1d(nu, k, s)
+                got = gg._homogeneous(nu, k, s * np.sqrt(e), e)
+                assert np.max(np.abs(got - expected)) < 1e-13, (nu, k)
+                for i in range(4):  # the Python-float path, e = 0 included
+                    got = gg._homogeneous(nu, k, float(s[i] * sqrt(e[i])), float(e[i]))
+                    assert abs(got - expected[i]) < 1e-13, (nu, k, i)
 
     def test_weighted_orthogonality(self):
         # orthogonality survives a continuous positive weight in (u, v)
