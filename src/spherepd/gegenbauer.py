@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, prod, sqrt
+from math import comb, exp, lgamma, log, pi, prod, sqrt
 
 import numpy as np
 
@@ -220,6 +220,26 @@ def _gauss_legendre(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndar
     return a + half * (x + 1.0), half * w
 
 
+def _gauss_jacobi(nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic Jacobi recurrence, the weights mu0 times the
+    squared first components of its eigenvectors, where mu0 is the integral
+    of the weight.  Used with alpha, beta >= 0.
+    """
+    ab = alpha + beta
+    j = np.arange(1, nodes, dtype=float)
+    s = 2.0 * j + ab
+    diag = np.empty(nodes)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta**2 - alpha**2) / (s * (s + 2.0))
+    off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mu0 = exp((ab + 1.0) * log(2.0) + lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(ab + 2.0))
+    return x, mu0 * vec[0] ** 2
+
+
 def _rising(a, j: int):
     """The rising factorial (a)_j = a (a+1) ... (a+j-1)."""
     return prod(a + i for i in range(j))
@@ -346,9 +366,37 @@ def gegenbauer_expansion(poly_coeffs, n: int) -> np.ndarray:
     return out
 
 
-def _sphere_sample(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    g = rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+# Samples per Monte Carlo chunk.  Chunk i draws from its own stream, so this
+# size is part of the stream definition, not a tuning value.  Only one
+# chunk's draws and temporaries are live at a time.
+_MC_CHUNK = 1 << 16
+
+
+def _mc_chunk(rng: np.random.Generator, n: int, m: int, k: int, l: int, f, out) -> None:
+    """Write G_k * G_l (times f(u, v)) at len(out) uniform sphere pairs into out.
+
+    The pairs stay unnormalized Gaussian rows gx, gy.  With sx = 1/|gx|^2
+    and sy = 1/|gy|^2, the kernel arguments are d = <gx[m:], gy[m:]>
+    sqrt(sx sy), which is t - <u,v> without cancellation, and
+    e = (1 - |gx[:m]|^2 sx)(1 - |gy[:m]|^2 sy).  The points u and v are
+    formed only for the weight.
+    """
+    size = out.shape[0]
+    gx = rng.standard_normal((size, n))
+    gy = rng.standard_normal((size, n))
+    sx = 1.0 / np.einsum("ij,ij->i", gx, gx)
+    sy = 1.0 / np.einsum("ij,ij->i", gy, gy)
+    ux, uy = gx[:, :m], gy[:, :m]
+    d = np.einsum("ij,ij->i", gx[:, m:], gy[:, m:])
+    d *= np.sqrt(sx * sy)
+    e = 1.0 - np.einsum("ij,ij->i", ux, ux) * sx
+    e *= 1.0 - np.einsum("ij,ij->i", uy, uy) * sy
+    gk = _homogeneous(n - m, k, d, e)
+    np.multiply(gk, gk if k == l else _homogeneous(n - m, l, d, e), out=out)
+    if f is not None:
+        out *= np.asarray(
+            f(ux * np.sqrt(sx)[:, None], uy * np.sqrt(sy)[:, None]), dtype=float
+        )
 
 
 def orthogonality_mc(
@@ -359,6 +407,12 @@ def orthogonality_mc(
     The estimate is the mean against the normalized uniform product
     measure on two spheres; for k != l it should sit within a few
     standard errors of zero for any continuous weight f(u, v).
+
+    The samples come in fixed chunks of 2^16 (the last one shorter), and
+    chunk i draws from its own stream rng_for(seed, n, m, k, l, i), i.e.
+    derive_seed(seed, n, m, k, l, i).  The chunks run in order on the
+    calling thread, and a weight f is called once per chunk with that
+    chunk's (rows, m) arrays u and v, so f must be vectorized.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -366,32 +420,32 @@ def orthogonality_mc(
         raise ValueError(f"level m={m} out of range [0, {n - 2}]")
     _check_nk(n - m, k)
     _check_nk(n - m, l)
-    rng = rng_for(seed, n, m, k, l)
-    x = _sphere_sample(rng, n, samples)
-    y = _sphere_sample(rng, n, samples)
-    u = x[:, :m]
-    v = y[:, :m]
-    t = np.einsum("ij,ij->i", x, y)
-    d = t - np.einsum("ij,ij->i", u, v)
-    e = (1.0 - np.einsum("ij,ij->i", u, u)) * (1.0 - np.einsum("ij,ij->i", v, v))
-    vals = _homogeneous(n - m, k, d, e)
-    vals *= _homogeneous(n - m, l, d, e)
-    if f is not None:
-        vals = vals * np.asarray(f(u, v), dtype=float)
+    vals = np.empty(samples)
+    for i, lo in enumerate(range(0, samples, _MC_CHUNK)):
+        _mc_chunk(rng_for(seed, n, m, k, l, i), n, m, k, l, f, vals[lo : lo + _MC_CHUNK])
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / np.sqrt(samples))
     return OrthogonalityEstimate(est, err, samples)
 
 
-def _ball_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (P, m) and weights for integration over the unit m-ball."""
+def _ball_quadrature(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (P, m) and weights for integration over the unit m-ball
+    against the weight (1-|x|^2)^p.
+
+    For m = 1 this is Gauss-Jacobi with alpha = beta = p.  For m = 2 it is
+    Gauss-Jacobi with alpha = p, beta = 0 in rho = r^2 on [0, 1], where
+    dx = d(rho)/2 d(angle), times equally spaced angles.
+    """
     if m == 0:
         return np.zeros((1, 0)), np.ones(1)
     if m == 1:
-        x, w = _gauss_legendre(32, -1.0, 1.0)
+        x, w = _gauss_jacobi(32, p, p)
         return x[:, None], w
     if m == 2:
-        r, wr = _gauss_legendre(16, 0.0, 1.0)
+        x, w = _gauss_jacobi(16, p, 0.0)
+        # rho = (1+x)/2 turns (1-rho)^p d(rho)/2 into 2^-(p+2) (1-x)^p dx
+        r = np.sqrt(0.5 * (1.0 + x))
+        wr = w * 2.0 ** -(p + 2.0)
         na = 32
         ang = 2.0 * np.pi * np.arange(na) / na
         pts = np.stack(
@@ -401,7 +455,7 @@ def _ball_quadrature(m: int) -> tuple[np.ndarray, np.ndarray]:
             ],
             axis=1,
         )
-        w = np.outer(wr * r, np.full(na, 2.0 * np.pi / na)).ravel()
+        w = np.outer(wr, np.full(na, 2.0 * np.pi / na)).ravel()
         return pts, w
     raise ValueError("tensorized ball quadrature supports m <= 2 only")
 
@@ -414,10 +468,14 @@ def orthogonality_quad(n: int, m: int, k: int, l: int, q=None) -> float:
     so the integral is line * ball:
 
         line = integral of G_k(s) G_l(s) (1-s^2)^((n-m-3)/2) over s in [-1, 1],
-        ball = a^T Q a,  a_i = w_i (1-|x_i|^2)^((n-m-2+k+l)/2),  Q_ij = q(x_i, x_j),
+        ball = double integral over the m-ball of (1-|u|^2)^p (1-|v|^2)^p q(u, v),
 
-    by Gauss-Legendre in the angle of s and on the polar ball nodes x_i with
-    weights w_i.  For k != l, line vanishes to quadrature precision.
+    with p = (n-m-2+k+l)/2.  line is Gauss-Legendre in the angle of s; for
+    k != l it vanishes to quadrature precision.  Without q, ball is the
+    closed form (pi^(m/2) Gamma(p+1) / Gamma(p+1+m/2))^2.  With q it is
+    a^T Q a, a_i the Gauss-Jacobi weights of the ball nodes x_i against
+    (1-|x|^2)^p and Q_ij = q(x_i, x_j), exact for q polynomial of degree
+    up to 31 in each of u and v, whether p is an integer or not.
     """
     if m < 0 or m > 2:
         raise ValueError("deterministic quadrature supports m <= 2 only")
@@ -429,13 +487,12 @@ def orthogonality_quad(n: int, m: int, k: int, l: int, q=None) -> float:
     gk, gl = eval_1d(nm, k, s), eval_1d(nm, l, s)
     line = float(np.sum(wphi * np.sin(phi) ** (nm - 2) * gk * gl))
 
-    pts, wb = _ball_quadrature(m)
-    a = wb * (1.0 - np.einsum("ij,ij->i", pts, pts)) ** ((nm - 2 + k + l) / 2.0)
+    p = (nm - 2 + k + l) / 2.0
+    if q is None:
+        return line * (pi ** (m / 2) * exp(lgamma(p + 1.0) - lgamma(p + 1.0 + m / 2))) ** 2
+    pts, a = _ball_quadrature(m, p)
     size = pts.shape[0]  # q sees the (u, v) grid as two (size^2, m) arrays
-    qvals = (
-        np.ones(size * size) if q is None
-        else np.asarray(q(np.repeat(pts, size, axis=0), np.tile(pts, (size, 1))), dtype=float)
-    )
+    qvals = np.asarray(q(np.repeat(pts, size, axis=0), np.tile(pts, (size, 1))), dtype=float)
     return line * float(a @ qvals.reshape(size, size) @ a)
 
 

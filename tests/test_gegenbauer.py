@@ -259,29 +259,35 @@ class TestOrthogonality:
         assert gg.orthogonality_quad(6, 1, 3, 3) > 0.0
 
     @staticmethod
-    def closed_form_norm(n, m, k):
+    def harmonic_dim(nu, k):
+        """Dimension of the degree-k spherical harmonics on S^(nu-1)."""
+        return comb(k + nu - 1, nu - 1) - (comb(k + nu - 3, nu - 1) if k >= 2 else 0)
+
+    @classmethod
+    def closed_form_norm(cls, n, m, k):
         """line * ball in closed form: the line factor is the squared norm of
         G_k against (1-s^2)^((nu-3)/2) (h harmonics of degree k on S^(nu-1)),
         the ball factor the m-ball integral of (1-|x|^2)^p, squared."""
         nu = n - m
-        h = comb(k + nu - 1, nu - 1) - (comb(k + nu - 3, nu - 1) if k >= 2 else 0)
-        line = sqrt(pi) * gamma((nu - 1) / 2) / gamma(nu / 2) / h
+        line = sqrt(pi) * gamma((nu - 1) / 2) / gamma(nu / 2) / cls.harmonic_dim(nu, k)
         p = (nu - 2 + 2 * k) / 2
         ball = pi ** (m / 2) * gamma(p + 1) / gamma(p + 1 + m / 2)
         return line * ball**2
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_quadrature_norm_closed_form(self, m):
-        # n - m even keeps the ball exponent an integer, where the ball's
-        # Gauss-Legendre rule is exact; the diagonal is the only place a
-        # wrong ball exponent shows, as the off-diagonal line factor is 0
+        # the diagonal is the only place a wrong ball exponent shows, as the
+        # off-diagonal line factor is 0; n - m odd makes the exponent a
+        # half-integer, which only a rule with (1-|x|^2)^p in its weight
+        # integrates exactly.  The constant weight runs that rule.
+        one = lambda u, v: np.ones(len(u))
         for n in range(m + 2, 9):
-            if (n - m) % 2:
-                continue
             for k in range(7):
                 expected = self.closed_form_norm(n, m, k)
                 got = gg.orthogonality_quad(n, m, k, k)
                 assert got == pytest.approx(expected, rel=1e-12), (n, m, k)
+                got = gg.orthogonality_quad(n, m, k, k, q=one)
+                assert got == pytest.approx(expected, rel=1e-12), (n, m, k, "q")
 
     def test_homogeneity_identity(self):
         # _homogeneous(nu, k, s sqrt(e), e) = e^(k/2) G_k(s), the identity
@@ -308,6 +314,45 @@ class TestOrthogonality:
     def test_monte_carlo_zscore(self):
         est = gg.orthogonality_mc(5, 1, 1, 2, samples=200_000, seed=3)
         assert abs(est.estimate) < 4 * est.stderr
+
+    def test_monte_carlo_chunk_streams(self):
+        # 150 000 samples: two full 2^16 chunks and a short third one, chunk
+        # i drawn from its own stream rng_for(seed, n, m, k, l, i)
+        n, m, k, l, seed, samples = 5, 1, 1, 2, 3, 150_000
+        vals = np.empty(samples)
+        for i, lo in enumerate(range(0, samples, gg._MC_CHUNK)):
+            chunk = vals[lo : lo + gg._MC_CHUNK]
+            gg._mc_chunk(rng_for(seed, n, m, k, l, i), n, m, k, l, None, chunk)
+        est = gg.orthogonality_mc(n, m, k, l, samples=samples, seed=seed)
+        assert est.estimate == float(np.mean(vals))
+        assert est.stderr == float(np.std(vals, ddof=1) / np.sqrt(samples))
+
+    def test_monte_carlo_weight_sees_chunks_in_order(self):
+        calls = []
+
+        def f(u, v):
+            calls.append(len(u))
+            return np.ones(len(u))
+
+        args = (5, 1, 1, 2)
+        est = gg.orthogonality_mc(*args, f=f, samples=150_000, seed=3)
+        assert calls == [65536, 65536, 150_000 - 2 * 65536]
+        assert est == gg.orthogonality_mc(*args, samples=150_000, seed=3)
+
+    @pytest.mark.parametrize("n,m,k", [(6, 1, 2), (5, 2, 1)])
+    def test_monte_carlo_weighted_matches_quadrature(self, n, m, k):
+        # the mean against the normalized measure is the quadrature divided
+        # by its unweighted degree-0 value, the measure's total mass
+        f = lambda u, v: 1.0 + 0.5 * u[:, 0] * v[:, 0] + u[:, 0] ** 2
+        est = gg.orthogonality_mc(n, m, k, k, f=f, samples=200_000, seed=5)
+        exact = gg.orthogonality_quad(n, m, k, k, q=f) / gg.orthogonality_quad(n, m, 0, 0)
+        assert abs(est.estimate - exact) < 5 * est.stderr
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (5, 3)])
+    def test_monte_carlo_norm(self, n, k):
+        # at level 0, E[G_k(<x,y>)^2] = 1/h for h harmonics of degree k
+        est = gg.orthogonality_mc(n, 0, k, k, samples=200_000, seed=11)
+        assert abs(est.estimate - 1.0 / self.harmonic_dim(n, k)) < 5 * est.stderr
 
     def test_monte_carlo_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
