@@ -5,13 +5,21 @@ certificate functions over constrained Gram configurations, the
 generalized counting bound for levels m = 0, 1, 2, and a discretized
 linear program optimizing the classical m = 0 bound with post-hoc
 certificate verification.
+
+The counting bound is read off its residual, a polynomial in the code
+size N of degree m + 1 with exact dyadic coefficients: Sturm sequences
+locate its sign changes in integer arithmetic, so the cost does not
+depend on N, and the float residual is evaluated only where rounding
+could flip its sign.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
-from math import cos, factorial
+from math import cos, factorial, isfinite, isinf, lcm
 
 import numpy as np
 
@@ -43,6 +51,7 @@ __all__ = [
 
 MAX_PATTERN_D = 12
 BRUTE_LIMIT = 10_000_000
+FLOAT_INT_LIMIT = 2**53  # every integer up to here is exact as a float
 
 
 class CertificateError(ValueError):
@@ -96,6 +105,23 @@ def pattern_of(j_vector) -> PartitionPattern:
     return PartitionPattern(tuple(sorted(counts.values(), reverse=True)))
 
 
+def _arrangements(omega: PartitionPattern) -> int:
+    """Set partitions of d labelled slots into blocks of the pattern's sizes.
+
+    d! / prod(p!) / prod(multiplicity!): the blocks are unordered, so
+    equal-sized blocks are not told apart.
+    """
+    count = factorial(omega.d)
+    for p in omega.parts:
+        count //= factorial(p)
+    mult: dict = {}
+    for p in omega.parts:
+        mult[p] = mult.get(p, 0) + 1
+    for c in mult.values():
+        count //= factorial(c)
+    return count
+
+
 def q_omega(omega: PartitionPattern, big_n: int) -> int:
     """Closed-form collision count, divided by N.
 
@@ -106,19 +132,18 @@ def q_omega(omega: PartitionPattern, big_n: int) -> int:
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    d = omega.d
-    arrangements = factorial(d)
-    for p in omega.parts:
-        arrangements //= factorial(p)
-    mult: dict = {}
-    for p in omega.parts:
-        mult[p] = mult.get(p, 0) + 1
-    for c in mult.values():
-        arrangements //= factorial(c)
     falling = 1
     for i in range(1, omega.blocks):  # falling factorial / N
         falling *= big_n - i
-    return arrangements * falling
+    return _arrangements(omega) * falling
+
+
+def _q_poly(omega: PartitionPattern) -> list[int]:
+    """q_omega as a polynomial in N: integer coefficients, ascending powers."""
+    poly = [_arrangements(omega)]
+    for i in range(1, omega.blocks):  # times (N - i)
+        poly = [shifted - i * c for c, shifted in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def q_omega_brute(omega: PartitionPattern, big_n: int) -> int:
@@ -420,6 +445,114 @@ def delsarte_lp(
     )
 
 
+def _horner(poly: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _to_int(poly: list[Fraction]) -> list[int]:
+    """The polynomial times the positive lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in poly))
+    return [int(c * scale) for c in poly]
+
+
+def _divmod_poly(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of a / b; ascending coefficients, b[-1] != 0."""
+    a = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        quot[shift] = c = a[-1] / b[-1]
+        for i, bc in enumerate(b):
+            a[shift + i] -= c * bc
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return quot, a
+
+
+def _sturm(poly: list[int]) -> list[list[int]]:
+    """Sturm sequence of the squarefree part of poly.
+
+    With the common factor divided out, the sign-change count V is
+    right-continuous, so poly has V(a) - V(b) distinct roots in (a, b]
+    for any a < b.
+    """
+    seq = [[Fraction(c) for c in poly], [Fraction(i * c) for i, c in enumerate(poly)][1:]]
+    while len(seq[-1]) > 1:
+        rem = _divmod_poly(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+    if len(seq[-1]) > 1:  # a multiple root: divide by gcd(poly, poly')
+        seq = [_divmod_poly(p, seq[-1])[0] for p in seq]
+    return [_to_int(p) for p in seq]
+
+
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    signs = [v > 0 for v in (_horner(p, x) for p in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _first_nonpositive(poly: list[int], seq: list[list[int]], lo: int) -> int:
+    """Smallest integer N > lo with poly(N) <= 0.
+
+    Needs poly(lo) > 0 and a negative leading coefficient; seq is
+    poly's Sturm sequence.  Bisection on the root count isolates the
+    first root in a unit interval (N - 1, N]; a root where poly only
+    touches zero between integers is stepped over.
+    """
+    top = 2 + max(abs(c) for c in poly[:-1]) // -poly[-1]  # above every root
+    v_lo = _sign_changes(seq, lo)
+    while True:
+        hi = top  # poly(top) < 0, so (lo, hi] holds a root
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(seq, mid)
+            if v_mid < v_lo:
+                hi = mid
+            else:  # no root in (lo, mid]: poly(mid) > 0
+                lo, v_lo = mid, v_mid
+        if _horner(poly, hi) <= 0:
+            return hi
+        lo, v_lo = hi, _sign_changes(seq, hi)
+
+
+def _residual_sign_bounds(b_map: dict, f0: float, m: int):
+    """Integer polynomials lo, hi in N that decide the float residual's sign.
+
+    lo = R - E and hi = R + E, each times a positive constant, where
+    R(N) = sum of b q_omega(N) - f0 N^(m+1) in exact rationals and E(N)
+    bounds the rounding error of r(N), the float residual.  r(N) is
+    at most five products of a float by a rounded integer, four
+    additions, a libm pow within one ulp, one product and one
+    subtraction.  Without overflow |r - R| <= 7u T(N), u = 2^-53, where
+    T(N) sums the terms' absolute values; E = 2^-49 T keeps a factor of
+    two in hand.  A float times an integer is exact when it underflows,
+    so only f0 N^(m+1) can round in the subnormal range, by at most
+    2^-1075, and only when f0 is subnormal.  So lo(N) > 0 means r(N) > 0
+    and hi(N) < 0 means r(N) < 0.
+    """
+    exact = [Fraction(0)] * (m + 2)
+    total = [Fraction(0)] * (m + 2)
+    for omega, b in b_map.items():
+        b = Fraction(b)
+        for i, c in enumerate(_q_poly(omega)):
+            exact[i] += b * c
+            total[i] += abs(b) * c
+    exact[m + 1] -= Fraction(f0)
+    total[m + 1] += Fraction(f0)
+    err = [c / 2**49 for c in total]
+    if f0 < 2.0**-1022:
+        err[0] += Fraction(1, 2**1074)
+    return (
+        _to_int([r - e for r, e in zip(exact, err)]),
+        _to_int([r + e for r, e in zip(exact, err)]),
+    )
+
+
 def theorem61_bound(
     m: int, f0: float, f_diag: float, b_values: dict
 ) -> Theorem61Result:
@@ -429,13 +562,27 @@ def theorem61_bound(
     parts tuple; not the all-merged one, whose value is f_diag) to upper
     bounds on the corresponding suprema; missing patterns are asserted
     nonpositive and contribute zero.  A key that is no such pattern raises
-    ValueError, since dropping its supremum would understate the bound.
-    Scans integers upward; the left side eventually dominates because its
-    degree exceeds the right side's once the all-distinct pattern drops
-    out.
+    ValueError, since dropping its supremum would understate the bound,
+    and so do non-finite inputs.
+
+    N_max is one less than the first N >= 2 where the float residual
+    sum of b q_omega(N) - f0 N^(m+1) is negative.  Its exact counterpart
+    is a polynomial of degree m + 1 with a negative leading term, since
+    the all-distinct pattern contributes nothing.  Two integer
+    polynomials bracket it by the float rounding error; a Sturm count
+    jumps over every N where the float residual is surely positive, and
+    the float residual itself is evaluated only in the few N around a
+    root where rounding could decide the sign.  The cost does not depend
+    on N_max, and the result, residuals included, is what the float
+    residual evaluated at N = 2, 3, ... in turn gives.  Past the first N
+    where a float part overflows the residual is +inf until f0 N^(m+1)
+    overflows too, and that N is found by bisection.  An N_max + 1 above
+    2^53, where float(N) is no longer exact, raises ValueError.
     """
     if m not in (0, 1, 2):
         raise ValueError("m must be 0, 1, or 2")
+    if not (isfinite(f0) and isfinite(f_diag)):
+        raise ValueError(f"f0 = {f0} and f_diag = {f_diag} must be finite")
     if f0 <= 0:
         raise ValueError("f0 must be positive")
     d = m + 2
@@ -453,10 +600,13 @@ def theorem61_bound(
             raise ValueError(
                 f"supremum key {key!r} is the all-merged pattern, whose value is f_diag"
             )
+        val = float(val)
+        if not isfinite(val):
+            raise ValueError(f"supremum for {key!r} is {val}, not finite")
         # negative entries are clamped to zero: collision counts are
         # nonnegative, so dropping a nonpositive term only weakens the
         # right side upward
-        b_map[omega] = max(float(val), 0.0)
+        b_map[omega] = max(val, 0.0)
 
     all_distinct = PartitionPattern((1,) * d)
     if b_map[all_distinct] > 0:
@@ -464,20 +614,48 @@ def theorem61_bound(
             "the all-distinct pattern needs a nonpositive supremum for a finite bound"
         )
 
-    def residual(big_n: int) -> float:
-        rhs = sum(b * q_omega(omega, big_n) for omega, b in b_map.items())
-        return rhs - f0 * float(big_n) ** (m + 1)
+    def rhs(big_n: int) -> float:
+        return sum(b * q_omega(omega, big_n) for omega, b in b_map.items())
 
-    n_max = 1
-    while residual(n_max + 1) >= 0:
-        n_max += 1
-        if n_max > 100_000_000:
-            raise RuntimeError("no finite bound reached; check the supplied suprema")
+    def lhs(big_n: int) -> float:
+        return f0 * float(big_n) ** (m + 1)
+
+    def residual(big_n: int) -> float:
+        return rhs(big_n) - lhs(big_n)
+
+    lo, hi = _residual_sign_bounds(b_map, f0, m)
+    lo_sturm = _sturm(lo)
+    big_n = 2  # ends at the first N whose float residual is not >= 0
+    while big_n <= FLOAT_INT_LIMIT:
+        if _horner(hi, big_n) < 0:
+            break
+        if _horner(lo, big_n) > 0:
+            big_n = _first_nonpositive(lo, lo_sturm, big_n)
+        elif residual(big_n) >= 0:
+            big_n += 1
+        else:
+            break
+    top = min(big_n, FLOAT_INT_LIMIT)
+    if isinf(rhs(top)) or isinf(lhs(top)):
+        # each float part is nondecreasing in N, and the error bound
+        # holds below the first N where one of them overflows; from there
+        # the residual is +inf until f0 N^(m+1) overflows as well
+        first = bisect_left(
+            range(top + 1), True, lo=2, key=lambda k: isinf(rhs(k)) or isinf(lhs(k))
+        )
+        big_n = bisect_left(
+            range(FLOAT_INT_LIMIT + 1), True, lo=first, key=lambda k: isinf(lhs(k))
+        )
+    if big_n > FLOAT_INT_LIMIT:
+        raise ValueError(
+            f"N_max + 1 exceeds 2**53 = {FLOAT_INT_LIMIT}, beyond which float(N) "
+            "is not exact; check the supplied suprema"
+        )
     ratio = f_diag / f0 if m == 0 else None
     return Theorem61Result(
-        n_max=n_max,
-        residual_at_n=residual(n_max),
-        residual_at_next=residual(n_max + 1),
+        n_max=big_n - 1,
+        residual_at_n=residual(big_n - 1),
+        residual_at_next=residual(big_n),
         ratio=ratio,
     )
 

@@ -201,6 +201,24 @@ class TestBound:
         path.write_text("{broken")
         assert main(["bound", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"f0": float("nan")},
+            {"f_diag": float("inf")},
+            {"B": {"2+1": float("nan")}},
+            {"B": {"2+1": 2.0**52}},  # N_max + 1 beyond 2^53
+        ],
+    )
+    def test_counting_input_errors_exit_2(self, tmp_path, capsys, change):
+        cfg = {"n": 4, "theta": "pi/2", "m": 1, "f0": 0.25, "f_diag": 2.0, "B": {"2+1": 2.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, **change}))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bound:" not in captured.out
+        assert "error:" in captured.err
+
     def test_unmatched_supremum_key(self, tmp_path, capsys):
         # "1+2" is not weakly decreasing; dropping it would print bound 2.0
         path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Pattern combinatorics, certificate checks, and code bounds."""
 
-from math import cos, pi, sqrt
+from fractions import Fraction
+from math import cos, isqrt, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spherepd.codebounds import (
     CertificateError,
     CodeProblem,
     PartitionPattern,
+    Theorem61Result,
     code_audit,
     delsarte_bound,
     delsarte_lp,
@@ -23,7 +25,71 @@ from spherepd.codebounds import (
     theorem61_bound,
     verify_nonpositive,
 )
+from spherepd.gegenbauer import gegenbauer_expansion
 from spherepd.spherical import named_code
+
+
+def _scan_reference(m, f0, f_diag, b_values):
+    """The counting bound by evaluating the float residual at N = 2, 3, ...
+
+    The same b_map, in the same order, and the same float expression as
+    theorem61_bound, which must return what this scan returns.
+    """
+    d = m + 2
+    b_map = dict.fromkeys(enumerate_patterns(d), 0.0)
+    b_map[PartitionPattern((d,))] = f_diag
+    for key, val in b_values.items():
+        b_map[PartitionPattern(key)] = max(float(val), 0.0)
+
+    def residual(big_n):
+        rhs = sum(b * q_omega(omega, big_n) for omega, b in b_map.items())
+        return rhs - f0 * float(big_n) ** (m + 1)
+
+    n_max = 1
+    while residual(n_max + 1) >= 0:
+        n_max += 1
+    return Theorem61Result(
+        n_max=n_max,
+        residual_at_n=residual(n_max),
+        residual_at_next=residual(n_max + 1),
+        ratio=f_diag / f0 if m == 0 else None,
+    )
+
+
+def _exact_residual(m, f0, f_diag, b_values, big_n):
+    total = Fraction(f_diag) - Fraction(f0) * big_n ** (m + 1)
+    for key, val in b_values.items():
+        total += max(Fraction(val), Fraction(0)) * q_omega(PartitionPattern(key), big_n)
+    return total
+
+
+def _random_counting_config(m, rng):
+    """Non-dyadic inputs with N_max up to about 2000.
+
+    Every other config moves f_diag to within a few ulps of a float tie
+    at a random N, where the exact and the float residual can disagree
+    in sign.
+    """
+    f0 = float(rng.uniform(0.05, 3.0))
+    target = float(10 ** rng.uniform(0.3, 3.3))
+    if m == 0:
+        b_values = {}
+    elif m == 1:
+        b_values = {(2, 1): f0 * target * float(rng.uniform(0.5, 1.5)) / 3}
+    else:
+        b_values = {
+            (2, 1, 1): f0 * target * float(rng.uniform(0.5, 1.5)) / 6,
+            (3, 1): float(rng.uniform(-1.0, 3.0)),
+            (2, 2): float(rng.uniform(-1.0, 3.0)),
+        }
+    if rng.random() < 0.5:
+        f_diag = float(rng.uniform(-2.0, 5.0)) * f0 + (f0 * target if m == 0 else 0.0)
+    else:
+        n0 = int(target)
+        rest = sum(max(v, 0.0) * q_omega(PartitionPattern(k), n0) for k, v in b_values.items())
+        f_diag = f0 * float(n0) ** (m + 1) - rest
+        f_diag += int(rng.integers(-2, 3)) * abs(f_diag) * 2.0**-52
+    return m, f0, f_diag, b_values
 
 
 class TestPatterns:
@@ -211,6 +277,89 @@ class TestTheorem61:
         by_tuple = theorem61_bound(1, 0.25, 2.0, {(2, 1): 5.0})
         by_pattern = theorem61_bound(1, 0.25, 2.0, {PartitionPattern((2, 1)): 5.0})
         assert by_tuple == by_pattern and by_tuple.n_max == 59
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_scan_on_random_configs(self, m):
+        rng = np.random.default_rng(6100 + m)
+        for _ in range(100):
+            cfg = _random_counting_config(m, rng)
+            assert theorem61_bound(*cfg) == _scan_reference(*cfg), cfg
+
+    def test_matches_scan_on_float_ties(self):
+        # at n = 6 the float residual is 0.0 at N = 12 and the exact one
+        # -2^-52: deciding the sign exactly would give N_max = 11
+        for n in range(3, 41):
+            cfg = (0, float(gegenbauer_expansion([0, 1, 1], n)[0]), 2.0, {})
+            assert theorem61_bound(*cfg) == _scan_reference(*cfg), n
+
+    def test_first_negative_residual_ends_the_search(self):
+        # negative at N = 2 and positive from N = 3 on until about 118
+        cfg = (1, 0.25, -31.0, {(2, 1): 10.0})
+        assert _exact_residual(*cfg, 3) > 0
+        res = theorem61_bound(*cfg)
+        assert res == _scan_reference(*cfg)
+        assert res.n_max == 1 and res.residual_at_next == -2.0
+
+    def test_root_at_an_integer(self):
+        # 46 + 6 (N - 1) - N^2 = -(N - 10)(N + 4)
+        cfg = (1, 1.0, 46.0, {(2, 1): 2.0})
+        res = theorem61_bound(*cfg)
+        assert res == _scan_reference(*cfg)
+        assert res.n_max == 10 and res.residual_at_n == 0.0
+
+    def test_overflowing_float_parts_match_scan(self):
+        # the right side overflows near N = 60, so the float residual is
+        # +inf until f0 N^2 overflows too; the exact root is near 3e6
+        cfg = (1, 1e300, 1.0, {(2, 1): 1e306})
+        res = theorem61_bound(*cfg)
+        assert repr(res) == repr(_scan_reference(*cfg))  # residual_at_next is nan
+        assert res.n_max == 13407
+
+    def test_m1_large_n_closed_form(self):
+        # 2 + 3 b (N - 1) - N^2 / 4 >= 0 up to 6 b + sqrt(4 (9 b^2 + 2 - 3 b))
+        b = 250_000
+        res = theorem61_bound(1, 0.25, 2.0, {(2, 1): float(b)})
+        assert res.n_max == 6 * b + isqrt(4 * (9 * b * b + 2 - 3 * b)) == 2_999_999
+        # dyadic inputs this small keep every float step exact
+        cfg = (1, 0.25, 2.0, {(2, 1): float(b)})
+        assert res.residual_at_n == float(_exact_residual(*cfg, res.n_max))
+        assert res.residual_at_next == float(_exact_residual(*cfg, res.n_max + 1))
+
+    def test_m2_large_n_exact_signs(self):
+        cfg = (2, 0.25, 2.0, {(2, 1, 1): 4166.75, (3, 1): 1.0, (2, 2): 0.5})
+        res = theorem61_bound(*cfg)
+        assert 99_000 < res.n_max < 101_000
+        assert _exact_residual(*cfg, res.n_max) >= 0 > _exact_residual(*cfg, res.n_max + 1)
+
+    def test_n_max_beyond_float_integers_refused(self):
+        # the residual turns negative near 12 * 2^52
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            theorem61_bound(1, 0.25, 2.0, {(2, 1): 2.0**52})
+
+    @pytest.mark.parametrize(
+        "f0, f_diag, b",
+        [
+            (float("nan"), 2.0, 1.0),
+            (float("inf"), 2.0, 1.0),
+            (0.25, float("nan"), 1.0),
+            (0.25, float("inf"), 1.0),
+            (0.25, 2.0, float("nan")),
+            (0.25, 2.0, float("inf")),
+            (0.25, 2.0, float("-inf")),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, f0, f_diag, b):
+        with pytest.raises(ValueError, match="finite"):
+            theorem61_bound(1, f0, f_diag, {(2, 1): b})
+
+    def test_first_nonpositive_sturm_search(self):
+        # -(2N - 11)^2 (N - 20) only touches zero at 5.5; -(N - 7)^2 (N - 20)
+        # touches it at the integer 7
+        touch_between = [2420, -1001, 124, -4]
+        touch_at = [980, -329, 34, -1]
+        assert cb._first_nonpositive(touch_between, cb._sturm(touch_between), 2) == 20
+        assert cb._first_nonpositive(touch_at, cb._sturm(touch_at), 2) == 7
+        assert cb._first_nonpositive(touch_at, cb._sturm(touch_at), 7) == 20
 
 
 class TestEstimateB:
