@@ -311,49 +311,45 @@ def estimate_B(
     return best
 
 
-def _poly_eval(coeffs, t):
-    return np.polynomial.polynomial.polyval(t, np.asarray(coeffs, dtype=float))
-
-
-def verify_nonpositive(
-    coeffs, theta: float, grid: int = 10_000, tol: float = 1e-12
-) -> bool:
-    """True iff the polynomial stays <= tol on [-1, cos theta].
-
-    Dense grid check, then every local maximum between grid nodes is
-    isolated by bisection on the derivative and evaluated.
-    """
-    return _interval_max(coeffs, -1.0, cos(theta), grid) <= tol
-
-
-def poly_max_on_interval(coeffs, lo: float, hi: float, grid: int = 10_000) -> float:
-    """Maximum of a polynomial on [lo, hi] (grid + derivative bisection)."""
-    return _interval_max(coeffs, lo, hi, grid)
-
-
-def _interval_max(coeffs, lo: float, hi: float, grid: int) -> float:
+def _poly_coeffs(coeffs) -> np.ndarray:
+    """Monomial coefficients as floats: 1 to 65 of them, all finite."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size > 65:
-        raise ValueError("polynomial degree too high")
-    if hi < lo:
-        raise ValueError("empty interval")
-    ts = np.linspace(lo, hi, grid)
-    vals = _poly_eval(coeffs, ts)
-    best = float(np.max(vals))
+    if not 0 < coeffs.size <= 65:
+        raise ValueError(f"a polynomial needs 1 to 65 coefficients, not {coeffs.size}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"polynomial coefficients {coeffs.tolist()} are not all finite")
+    return coeffs
+
+
+def verify_nonpositive(coeffs, theta: float, tol: float = 1e-12) -> bool:
+    """True iff the polynomial's maximum on [-1, cos theta] is <= tol."""
+    return poly_max_on_interval(coeffs, -1.0, cos(theta)) <= tol
+
+
+def poly_max_on_interval(coeffs, lo: float, hi: float) -> float:
+    """Maximum of a polynomial on [lo, hi], from its critical points.
+
+    The largest value at lo, at hi and at the real part of every root of
+    the derivative in (lo, hi), the eigenvalues of its companion matrix.
+    A complex root only adds a point, which cannot lower the result, so
+    the imaginary parts need no tolerance.  A tiny leading coefficient
+    spoils every eigenvalue (at 1e-30 relative a maximum of 1.7 was
+    missed), so the derivative's top terms whose bounds on [lo, hi] sum
+    under 2^-52 of the total are dropped first: about what rounding in
+    evaluating the polynomial moves.  Empty or non-finite input raises
+    ValueError.
+    """
+    coeffs = _poly_coeffs(coeffs)
+    if not (isfinite(lo) and isfinite(hi) and lo <= hi):
+        raise ValueError(f"[{lo}, {hi}] is not a finite nonempty interval")
     deriv = np.polynomial.polynomial.polyder(coeffs)
-    dv = _poly_eval(deriv, ts)
-    # a sign change + to - in the derivative brackets an interior maximum
-    idx = np.flatnonzero((dv[:-1] > 0) & (dv[1:] <= 0))
-    for i in idx:
-        a, b = ts[i], ts[i + 1]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if _poly_eval(deriv, mid) > 0:
-                a = mid
-            else:
-                b = mid
-        best = max(best, float(_poly_eval(coeffs, 0.5 * (a + b))))
-    return best
+    size = np.abs(deriv) * max(1.0, abs(lo), abs(hi)) ** np.arange(deriv.size)
+    tail = np.cumsum(size[::-1])[::-1]  # tail[k] bounds terms k.. on [lo, hi]
+    if isfinite(tail[0]):
+        deriv = deriv[: np.count_nonzero(tail > 2**-52 * tail[0]) or 1]
+    crit = np.polynomial.polynomial.polyroots(deriv).real
+    ts = np.concatenate(([lo, hi], crit[(lo < crit) & (crit < hi)]))
+    return float(np.max(np.polynomial.polynomial.polyval(ts, coeffs)))
 
 
 def delsarte_bound(coeffs, n: int, theta: float) -> float:
@@ -361,20 +357,22 @@ def delsarte_bound(coeffs, n: int, theta: float) -> float:
 
     Refuses (naming the violated condition) unless the basis expansion is
     nonnegative with positive constant term and the polynomial is
-    nonpositive on [-1, cos theta].
+    nonpositive on [-1, cos theta], both checked on f / f0 so that scale
+    does not matter.  Empty or non-finite coefficients raise ValueError.
     """
+    coeffs = _poly_coeffs(coeffs)
     expansion = gegenbauer_expansion(coeffs, n)
-    if expansion[0] <= 0:
+    f0 = float(expansion[0])
+    if not f0 > 0:
         raise CertificateError("constant expansion coefficient f0 is not positive")
-    if np.min(expansion) < -1e-12:
-        k = int(np.argmin(expansion))
+    k = int(np.argmin(expansion))
+    if expansion[k] / f0 < -1e-12:
         raise CertificateError(
-            f"expansion coefficient f_{k} = {expansion[k]:.3e} is negative"
+            f"expansion coefficient f_{k} is negative: f_{k} / f0 = {expansion[k] / f0:.3e}"
         )
-    if not verify_nonpositive(coeffs, theta):
+    if not verify_nonpositive(coeffs / f0, theta):
         raise CertificateError("certificate is positive somewhere on [-1, cos theta]")
-    f_at_one = float(np.sum(np.asarray(coeffs, dtype=float)))
-    return f_at_one / float(expansion[0])
+    return float(np.sum(coeffs)) / f0
 
 
 def delsarte_lp(

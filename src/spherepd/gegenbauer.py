@@ -199,8 +199,7 @@ def monomial_vector(x, d: int) -> np.ndarray:
     m = x.size
     if m == 0:
         return np.ones(1)
-    exps = monomial_exponents(m, d)
-    return np.array([np.prod(x**np.array(e)) for e in exps])
+    return np.prod(x ** np.array(monomial_exponents(m, d)), axis=1)
 
 
 def z_outer(u, v, d: int) -> np.ndarray:

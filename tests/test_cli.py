@@ -219,6 +219,24 @@ class TestBound:
         assert "bound:" not in captured.out
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "coeffs", [[], [0.0, float("nan"), 1.0], [float("inf"), 1.0], [0.0, 1.0, float("-inf")]]
+    )
+    def test_certificate_input_errors_exit_2(self, tmp_path, capsys, coeffs):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "theta": "pi/2", "coeffs": coeffs}))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bound:" not in captured.out
+        assert "coefficient" in captured.err
+
+    def test_tiny_certificate_refused(self, tmp_path, capsys):
+        # t (1 + t) is positive on (0, 1/2]; its scale must not hide that
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "theta": "pi/3", "coeffs": [0.0, 1e-13, 1e-13]}))
+        assert main(["bound", str(path)]) == 1
+        assert "bound:" not in capsys.readouterr().out
+
     def test_unmatched_supremum_key(self, tmp_path, capsys):
         # "1+2" is not weakly decreasing; dropping it would print bound 2.0
         path = tmp_path / "cfg.json"

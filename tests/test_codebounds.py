@@ -20,6 +20,7 @@ from spherepd.codebounds import (
     greedy_code,
     pattern_of,
     pattern_of_x,
+    poly_max_on_interval,
     q_omega,
     q_omega_brute,
     theorem61_bound,
@@ -164,7 +165,54 @@ class TestVerifyNonpositive:
         # positive bump hidden between likely grid points
         center = -0.123456789
         coeffs = np.polynomial.polynomial.polyfromroots([center - 1e-7, center + 1e-7])
-        assert not verify_nonpositive(-coeffs + np.array([1e-10, 0, 0]), pi / 2, grid=100)
+        assert not verify_nonpositive(-coeffs + np.array([1e-10, 0, 0]), pi / 2)
+
+    def test_maximum_next_to_minimum(self):
+        # f = 1e-6 - 1e12 t^2 ((t - 1.5e-4)^2 + 1e-10): the maximum f(0) = 1e-6
+        # lies 1.5e-4 from a local minimum, inside one cell of a 10^4-point grid
+        coeffs = [1e-6, 0.0, -1e12 * (2.25e-8 + 1e-10), 3e8, -1e12]
+        assert poly_max_on_interval(coeffs, -1.0, 1.0) >= 1e-6 - 1e-15
+        assert not verify_nonpositive(coeffs, 1e-9)
+
+
+class TestPolyMaxOnInterval:
+    def test_matches_dense_evaluation(self):
+        # never below the best of 10^5 evaluations, and above it by no
+        # more than the curvature between them allows
+        rng = np.random.default_rng(20240601)
+        for _ in range(300):
+            coeffs = rng.standard_normal(int(rng.integers(2, 32)))
+            lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2))
+            dense = np.max(np.polynomial.polynomial.polyval(np.linspace(lo, hi, 10**5), coeffs))
+            scale = np.sum(np.abs(coeffs))
+            top = poly_max_on_interval(coeffs, lo, hi)
+            assert dense - 1e-13 * scale <= top <= dense + 1e-8 * scale
+
+    def test_tiny_leading_coefficient(self):
+        # a leading coefficient 1e-30 of the others must not hide the maximum
+        rng = np.random.default_rng(3)
+        coeffs = np.append(rng.standard_normal(11), 1e-30)
+        dense = np.max(np.polynomial.polynomial.polyval(np.linspace(-1.0, 0.5, 10**5), coeffs))
+        assert poly_max_on_interval(coeffs, -1.0, 0.5) >= dense - 1e-13 * np.sum(np.abs(coeffs))
+
+    def test_degenerate_interval_and_constant(self):
+        assert poly_max_on_interval([1.0, 2.0, -3.0], 0.5, 0.5) == 1.25
+        assert poly_max_on_interval([-2.0], -1.0, 1.0) == -2.0
+
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi, reason",
+        [
+            ([], -1.0, 1.0, "coefficients"),
+            ([0.0, float("nan")], -1.0, 1.0, "finite"),
+            ([float("inf"), 1.0], -1.0, 1.0, "finite"),
+            ([1.0] * 66, -1.0, 1.0, "coefficients"),
+            ([1.0, 1.0], -1.0, float("inf"), "interval"),
+            ([1.0, 1.0], 0.5, -0.5, "interval"),
+        ],
+    )
+    def test_input_errors(self, coeffs, lo, hi, reason):
+        with pytest.raises(ValueError, match=reason):
+            poly_max_on_interval(coeffs, lo, hi)
 
 
 class TestDelsarteBound:
@@ -182,16 +230,24 @@ class TestDelsarteBound:
         assert b1 == pytest.approx(b2, rel=1e-14)
 
     def test_refuses_positive_region(self):
-        with pytest.raises(CertificateError, match="positive somewhere"):
-            delsarte_bound([0.0, 1.0, 1.0], 4, pi / 3)
+        for scale in (1.0, 1e-13):
+            with pytest.raises(CertificateError, match="positive somewhere"):
+                delsarte_bound([0.0, scale, scale], 4, pi / 3)
 
     def test_refuses_negative_expansion(self):
         # G_1 - G_2 has a negative expansion coefficient
         n = 4
         g2 = np.array([-1.0 / (n - 1), 0.0, n / (n - 1)])
         coeffs = np.array([0.5, 1.0, 0.0]) - g2
-        with pytest.raises(CertificateError, match="negative"):
-            delsarte_bound(coeffs, n, pi / 2)
+        for scale in (1.0, 1e-13):
+            with pytest.raises(CertificateError, match="negative"):
+                delsarte_bound(scale * coeffs, n, pi / 2)
+
+    @pytest.mark.parametrize("coeffs", [[], [0.0, float("nan")], [0.0, 1.0, float("-inf")]])
+    def test_bad_coefficients_are_input_errors(self, coeffs):
+        with pytest.raises(ValueError) as info:
+            delsarte_bound(coeffs, 4, pi / 2)
+        assert not isinstance(info.value, CertificateError)
 
 
 class TestDelsarteLp:

@@ -163,6 +163,15 @@ class TestMonomials:
         z = gg.monomial_vector([2.0, 3.0], 2)
         assert np.allclose(z, [1, 2, 3, 4, 6, 9])
 
+    def test_monomial_vector_matches_loop(self):
+        # the same products, one exponent tuple at a time
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 4):
+            x = rng.standard_normal(m)
+            for d in (0, 1, 5):
+                loop = [np.prod(x ** np.array(e)) for e in gg.monomial_exponents(m, d)]
+                assert np.array_equal(gg.monomial_vector(x, d), loop)
+
     def test_z_outer_rank_one(self):
         zo = gg.z_outer([0.5], [0.25], 3)
         assert np.linalg.matrix_rank(zo) == 1
