@@ -251,20 +251,29 @@ def cmd_bound(args) -> RunReport:
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise UsageError("a bound configuration is a JSON object")
         n = int(cfg["n"])
         theta = parse_theta(str(cfg["theta"])) if args.theta is None else parse_theta(args.theta)
         m = int(cfg.get("m", 0))
-    except (OSError, KeyError) as exc:
+        if m:
+            f0, f_diag = float(cfg["f0"]), float(cfg["f_diag"])
+            b_values = {
+                tuple(int(p) for p in key.split("+")): float(val)
+                for key, val in cfg.get("B", {}).items()
+            }
+        elif "coeffs" not in cfg:
+            degree = args.degree if args.degree is not None else int(cfg.get("degree", 9))
+            grid = args.grid if args.grid is not None else int(cfg.get("grid", 4096))
+    except (OSError, KeyError, TypeError, AttributeError) as exc:
+        # TypeError and AttributeError: a value of the wrong JSON type
         raise UsageError(f"bad bound configuration: {exc}") from None
     report = _new_report("bound", {"config": args.config, "n": n, "m": m}, args.seed)
     try:
         if m == 0 and "coeffs" in cfg:
-            coeffs = [float(c) for c in cfg["coeffs"]]
-            bound = codebounds.delsarte_bound(coeffs, n, theta)
+            bound = codebounds.delsarte_bound(cfg["coeffs"], n, theta)
             report.add("certificate verified", "pass", metric=bound)
         elif m == 0:
-            degree = args.degree if args.degree is not None else int(cfg.get("degree", 9))
-            grid = args.grid if args.grid is not None else int(cfg.get("grid", 4096))
             cert = codebounds.delsarte_lp(n, theta, degree, grid)
             bound = cert.bound
             report.add("certificate verified", "pass", metric=bound)
@@ -274,13 +283,7 @@ def cmd_bound(args) -> RunReport:
                     fh.write(serialize.certificate_to_csv(cert))
                 report.parameters["certificate"] = path
         else:
-            b_values = {
-                tuple(int(p) for p in key.split("+")): float(val)
-                for key, val in cfg.get("B", {}).items()
-            }
-            result = codebounds.theorem61_bound(
-                m, float(cfg["f0"]), float(cfg["f_diag"]), b_values
-            )
+            result = codebounds.theorem61_bound(m, f0, f_diag, b_values)
             bound = float(result.n_max)
             report.add(
                 "counting inequality", "pass",
@@ -289,8 +292,6 @@ def cmd_bound(args) -> RunReport:
     except codebounds.CertificateError as exc:
         report.add("certificate verified", "fail", metric=str(exc))
         return report
-    except KeyError as exc:
-        raise UsageError(f"bad bound configuration: {exc}") from None
     report.parameters["bound"] = bound
     print(f"bound: {bound}")
     return report

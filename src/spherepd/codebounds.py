@@ -15,7 +15,6 @@ could flip its sign.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -312,8 +311,13 @@ def estimate_B(
 
 
 def _poly_coeffs(coeffs) -> np.ndarray:
-    """Monomial coefficients as floats: 1 to 65 of them, all finite."""
-    coeffs = np.asarray(coeffs, dtype=float)
+    """Monomial coefficients as floats: a flat list of 1 to 65 of them, all finite."""
+    try:
+        coeffs = np.asarray(coeffs, dtype=float)
+    except TypeError:
+        raise ValueError(f"polynomial coefficients {coeffs!r} are not numbers") from None
+    if coeffs.ndim != 1:
+        raise ValueError(f"polynomial coefficients {coeffs.tolist()!r} are not a flat list")
     if not 0 < coeffs.size <= 65:
         raise ValueError(f"a polynomial needs 1 to 65 coefficients, not {coeffs.size}")
     if not np.all(np.isfinite(coeffs)):
@@ -370,9 +374,10 @@ def delsarte_bound(coeffs, n: int, theta: float) -> float:
         raise CertificateError(
             f"expansion coefficient f_{k} is negative: f_{k} / f0 = {expansion[k] / f0:.3e}"
         )
-    if not verify_nonpositive(coeffs / f0, theta):
+    scaled = coeffs / f0
+    if not verify_nonpositive(scaled, theta):
         raise CertificateError("certificate is positive somewhere on [-1, cos theta]")
-    return float(np.sum(coeffs)) / f0
+    return float(np.sum(scaled))
 
 
 def delsarte_lp(
@@ -572,10 +577,9 @@ def theorem61_bound(
     the float residual itself is evaluated only in the few N around a
     root where rounding could decide the sign.  The cost does not depend
     on N_max, and the result, residuals included, is what the float
-    residual evaluated at N = 2, 3, ... in turn gives.  Past the first N
-    where a float part overflows the residual is +inf until f0 N^(m+1)
-    overflows too, and that N is found by bisection.  An N_max + 1 above
-    2^53, where float(N) is no longer exact, raises ValueError.
+    residual evaluated at N = 2, 3, ... in turn gives.  A float part that
+    overflows before the residual turns negative, and an N_max + 1 above
+    2^53, where float(N) is no longer exact, raise ValueError.
     """
     if m not in (0, 1, 2):
         raise ValueError("m must be 0, 1, or 2")
@@ -635,14 +639,12 @@ def theorem61_bound(
             break
     top = min(big_n, FLOAT_INT_LIMIT)
     if isinf(rhs(top)) or isinf(lhs(top)):
-        # each float part is nondecreasing in N, and the error bound
-        # holds below the first N where one of them overflows; from there
-        # the residual is +inf until f0 N^(m+1) overflows as well
-        first = bisect_left(
-            range(top + 1), True, lo=2, key=lambda k: isinf(rhs(k)) or isinf(lhs(k))
-        )
-        big_n = bisect_left(
-            range(FLOAT_INT_LIMIT + 1), True, lo=first, key=lambda k: isinf(lhs(k))
+        # each float part is nondecreasing in N, so without overflow here
+        # there is none below, where every decision was made
+        raise ValueError(
+            f"the float residual overflows by N = {top}; f0, f_diag and the "
+            "suprema can be divided by a common factor, since the counting "
+            "inequality is homogeneous in them"
         )
     if big_n > FLOAT_INT_LIMIT:
         raise ValueError(

@@ -300,22 +300,24 @@ def addition_term(u, n: int, m: int, k: int, s: int) -> float:
     return sqrt(addition_coefficients(nu, k).c[s]) * val
 
 
-def _t_power_coefficient(n: int, m: int, k: int, i: int):
-    """Coefficient function of t^i in the level-m polynomial of degree k."""
-    coeffs = coeffs_1d(n - m, k).coeffs
+def _peel(g, nu: int, e) -> np.ndarray:
+    """Coefficients f of sum_j g[j] s^j in the basis e^(k/2) G_k^{(nu)}(s / sqrt(e)).
 
-    def g(u, v) -> float:
-        u_ = np.asarray(u, dtype=float).reshape(-1)
-        v_ = np.asarray(v, dtype=float).reshape(-1)
-        ip = float(u_ @ v_)
-        e = (1.0 - float(u_ @ u_)) * (1.0 - float(v_ @ v_))
-        total = 0.0
-        for j in range(i, k + 1):
-            if coeffs[j] != 0.0:
-                total += coeffs[j] * comb(j, i) * (-ip) ** (j - i) * e ** ((k - j) // 2)
-        return total
-
-    return g
+    With a_j the monomial coefficients of G_k, the degree-k basis element
+    is sum_j a_j e^((k-j)/2) s^j over j = k, k-2, ..., so back-substitution
+    from the top degree divides only by the leading a_k, never by e, and
+    e = 0 is exact.
+    """
+    g = np.array(g, dtype=float).tolist()
+    f = [0.0] * len(g)
+    for k in range(len(g) - 1, -1, -1):
+        a = coeffs_1d(nu, k).coeffs
+        f[k] = g[k] / a[k]
+        w = 1.0
+        for j in range(k - 2, -1, -2):
+            w *= e
+            g[j] -= f[k] * a[j] * w
+    return np.array(f)
 
 
 def expand_in_t(coeff_fns, n: int, m: int):
@@ -324,45 +326,32 @@ def expand_in_t(coeff_fns, n: int, m: int):
 
     coeff_fns[i] is the coefficient function of t^i (a callable of (u, v);
     for m = 0 it is called with empty vectors).  Returns callables
-    f_0, ..., f_d with  F(t,u,v) = sum_k f_k(u,v) * basis_k(t,u,v).
+    f_0, ..., f_K with  F(t,u,v) = sum_k f_k(u,v) * basis_k(t,u,v).
 
-    Extraction peels from the top t-degree down: the t^k coefficient of
-    the degree-k basis element is the constant leading monomial
-    coefficient of the one-dimensional polynomial.
+    At a point (u, v), f_k calls each coefficient function once,
+    re-expands the polynomial in s = t - <u,v> and peels it in the basis
+    e^(k/2) G_k^{(n-m)}(s / sqrt(e)), e = (1-|u|^2)(1-|v|^2): O(K^2)
+    operations, exact at e = 0.
     """
     if m < 0 or m > n - 2:
         raise ValueError(f"level m={m} out of range [0, {n - 2}]")
-    d = len(coeff_fns) - 1
-    cur = [fn for fn in coeff_fns]
-    extracted: list = [None] * (d + 1)
-    for k in range(d, -1, -1):
-        lead = coeffs_1d(n - m, k).coeffs[k]
-        top = cur[k]
 
-        def f_k(u, v, top=top, lead=lead) -> float:
-            return top(u, v) / lead
+    def expansion(u, v) -> np.ndarray:
+        u_, v_ = _uv_arrays(u, v, m)
+        ip = float(u_ @ v_)
+        e = (1.0 - float(u_ @ u_)) * (1.0 - float(v_ @ v_))
+        g = np.zeros(len(coeff_fns))
+        for fn in reversed(coeff_fns):  # Horner in t = s + <u,v>
+            g[1:] = g[:-1] + ip * g[1:]
+            g[0] = ip * g[0] + fn(u, v)
+        return _peel(g, n - m, e)
 
-        extracted[k] = f_k
-        for i in range(k):
-            g = _t_power_coefficient(n, m, k, i)
-
-            def reduced(u, v, old=cur[i], fk=f_k, g=g) -> float:
-                return old(u, v) - fk(u, v) * g(u, v)
-
-            cur[i] = reduced
-    return extracted
+    return [lambda u, v, k=k: float(expansion(u, v)[k]) for k in range(len(coeff_fns))]
 
 
 def gegenbauer_expansion(poly_coeffs, n: int) -> np.ndarray:
     """One-dimensional expansion: monomial coefficients -> basis coefficients."""
-    p = np.array(poly_coeffs, dtype=float)
-    d = p.size - 1
-    out = np.zeros(d + 1)
-    for k in range(d, -1, -1):
-        basis = np.array(coeffs_1d(n, k).coeffs)
-        out[k] = p[k] / basis[k]
-        p[: k + 1] -= out[k] * basis
-    return out
+    return _peel(poly_coeffs, n, 1.0)
 
 
 # Samples per Monte Carlo chunk.  Chunk i draws from its own stream, so this

@@ -13,6 +13,10 @@ from spherepd.spherical import sample_sphere
 from spherepd.symlin import SymmetricMatrix
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestParsing:
     def test_theta_literals(self):
         assert parse_theta("pi") == pytest.approx(pi)
@@ -208,6 +212,7 @@ class TestBound:
             {"f_diag": float("inf")},
             {"B": {"2+1": float("nan")}},
             {"B": {"2+1": 2.0**52}},  # N_max + 1 beyond 2^53
+            {"f0": 1e300, "f_diag": 1.0, "B": {"2+1": 1e306}},  # the residual overflows
         ],
     )
     def test_counting_input_errors_exit_2(self, tmp_path, capsys, change):
@@ -220,7 +225,17 @@ class TestBound:
         assert "error:" in captured.err
 
     @pytest.mark.parametrize(
-        "coeffs", [[], [0.0, float("nan"), 1.0], [float("inf"), 1.0], [0.0, 1.0, float("-inf")]]
+        "coeffs",
+        [
+            [],
+            [0.0, float("nan"), 1.0],
+            [float("inf"), 1.0],
+            [0.0, 1.0, float("-inf")],
+            5,
+            [[1.0]],
+            "12",  # not the digits 1 and 2
+            {"0": 1.0},
+        ],
     )
     def test_certificate_input_errors_exit_2(self, tmp_path, capsys, coeffs):
         path = tmp_path / "cfg.json"
@@ -229,6 +244,36 @@ class TestBound:
         captured = capsys.readouterr()
         assert "bound:" not in captured.out
         assert "coefficient" in captured.err
+
+    def test_huge_certificate_strict_json(self, tmp_path, capsys):
+        # f(1) = 2e308 overflows, so the bound must come from f / f0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "theta": "pi/2", "coeffs": [0, 1e308, 1e308]}))
+        assert main(["bound", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "bound: 8.0" in out
+        report = json.loads(out.split("\n", 1)[1], parse_constant=_reject_constant)
+        assert report["checks"][0]["metric"] == pytest.approx(8.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            [{"n": 4, "theta": "pi/2", "coeffs": [0, 1, 1]}],
+            {"n": 4, "theta": "pi/2", "m": 1, "f0": 0.25, "f_diag": 2.0, "B": "x"},
+            {"n": None, "theta": "pi/2", "coeffs": [0, 1, 1]},
+            {"n": 4, "theta": "pi/2", "m": None, "coeffs": [0, 1, 1]},
+            {"n": 4, "theta": "pi/2", "m": 1, "f0": None, "f_diag": 2.0, "B": {"2+1": 2.0}},
+            {"n": 4, "theta": "pi/2", "m": 1, "f0": 0.25, "f_diag": 2.0, "B": {"2+1": None}},
+            {"n": 4, "theta": "pi/2", "degree": None},
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_tiny_certificate_refused(self, tmp_path, capsys):
         # t (1 + t) is positive on (0, 1/2]; its scale must not hide that

@@ -243,7 +243,13 @@ class TestDelsarteBound:
             with pytest.raises(CertificateError, match="negative"):
                 delsarte_bound(scale * coeffs, n, pi / 2)
 
-    @pytest.mark.parametrize("coeffs", [[], [0.0, float("nan")], [0.0, 1.0, float("-inf")]])
+    def test_huge_certificate_keeps_its_bound(self):
+        # f(1) = 2e308 overflows; f(1) / f0 is 2n
+        assert delsarte_bound([0.0, 1e308, 1e308], 4, pi / 2) == pytest.approx(8.0, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "coeffs", [[], [0.0, float("nan")], [0.0, 1.0, float("-inf")], 5.0, [[1.0]], "12", {}]
+    )
     def test_bad_coefficients_are_input_errors(self, coeffs):
         with pytest.raises(ValueError) as info:
             delsarte_bound(coeffs, 4, pi / 2)
@@ -363,13 +369,16 @@ class TestTheorem61:
         assert res == _scan_reference(*cfg)
         assert res.n_max == 10 and res.residual_at_n == 0.0
 
-    def test_overflowing_float_parts_match_scan(self):
-        # the right side overflows near N = 60, so the float residual is
-        # +inf until f0 N^2 overflows too; the exact root is near 3e6
-        cfg = (1, 1e300, 1.0, {(2, 1): 1e306})
+    def test_overflowing_float_parts_refused(self):
+        # the right side overflows near N = 60, long before the exact root
+        # near 3e6; the inequality is homogeneous in f0, f_diag and the
+        # suprema, so the same config divided by 1e300 finds that root
+        with pytest.raises(ValueError, match="overflows"):
+            theorem61_bound(1, 1e300, 1.0, {(2, 1): 1e306})
+        cfg = (1, 1.0, 1e-300, {(2, 1): 1e6})
         res = theorem61_bound(*cfg)
-        assert repr(res) == repr(_scan_reference(*cfg))  # residual_at_next is nan
-        assert res.n_max == 13407
+        assert res.n_max == 2_999_998
+        assert _exact_residual(*cfg, res.n_max) >= 0 > _exact_residual(*cfg, res.n_max + 1)
 
     def test_m1_large_n_closed_form(self):
         # 2 + 3 b (N - 1) - N^2 / 4 >= 0 up to 6 b + sqrt(4 (9 b^2 + 2 - 3 b))

@@ -246,14 +246,63 @@ class TestExpansion:
         assert np.max(np.abs(recon - direct)) < 1e-10
 
     def test_expand_in_t_on_basis_element(self):
-        # expanding G_3 itself returns the indicator of degree 3
+        # expanding G_3 itself returns the indicator of degree 3; its t^i
+        # coefficients at (u, v) come from fitting it at four values of t
         n, m = 6, 1
-        fns = [gg._t_power_coefficient(n, m, 3, i) for i in range(4)]
-        out = gg.expand_in_t(fns, n, m)
+        ts = np.array([-0.9, -0.3, 0.4, 0.8])
+
+        def t_power(i):
+            def c(u, v):
+                vals = [gg.eval_mv(n, m, 3, t, u, v) for t in ts]
+                return np.polynomial.polynomial.polyfit(ts, vals, 3)[i]
+
+            return c
+
+        out = gg.expand_in_t([t_power(i) for i in range(4)], n, m)
         u, v = np.array([0.3]), np.array([-0.2])
         for k, fk in enumerate(out):
             expected = 1.0 if k == 3 else 0.0
             assert fk(u, v) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("n, m", [(6, 1), (7, 2), (5, 0)])
+    def test_expand_in_t_identity_degree_16(self, n, m):
+        # sum_k f_k basis_k = F at seeded points, one with |u| = 1 (e = 0)
+        degree = 16
+        rng = rng_for(3, n, m, degree)
+        abc = rng.standard_normal((degree + 1, 3))
+        fns = [
+            lambda u, v, a=a: a[0] + a[1] * float(u @ v) + a[2] * float(u @ u) * float(v @ v)
+            for a in abc
+        ]
+        out = gg.expand_in_t(fns, n, m)
+        points = [sample_domain_triple(rng, m) for _ in range(10)]
+        if m:
+            points.append((0.3, np.eye(m)[0], np.full(m, 0.5 / m)))
+        for t, u, v in points:
+            terms = [fn(u, v) * t**i for i, fn in enumerate(fns)]
+            expanded = sum(fk(u, v) * gg.eval_mv(n, m, k, t, u, v) for k, fk in enumerate(out))
+            assert abs(expanded - sum(terms)) <= 1e-10 * sum(abs(x) for x in terms)
+
+    @pytest.mark.parametrize("degree", [4, 8, 12, 16])
+    def test_expand_in_t_calls_each_coefficient_once(self, degree):
+        calls = []
+        fns = [lambda u, v, i=i: calls.append(i) or 1.0 / (i + 1) for i in range(degree + 1)]
+        f0 = gg.expand_in_t(fns, 6, 1)[0]
+        f0(np.array([0.3]), np.array([-0.2]))
+        assert len(calls) <= degree + 1
+
+    def test_expansion_matches_peeling_loop(self):
+        # the same operations as peeling whole basis polynomials off in turn
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            n, degree = int(rng.integers(2, 30)), int(rng.integers(0, 31))
+            p = rng.standard_normal(degree + 1)
+            loop, rest = np.zeros(degree + 1), p.copy()
+            for k in range(degree, -1, -1):
+                basis = np.array(gg.coeffs_1d(n, k).coeffs)
+                loop[k] = rest[k] / basis[k]
+                rest[: k + 1] -= loop[k] * basis
+            assert np.array_equal(gg.gegenbauer_expansion(p, n), loop)
 
 
 class TestOrthogonality:
