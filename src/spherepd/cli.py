@@ -131,6 +131,8 @@ def cmd_verify_psd(args) -> RunReport:
         raise UsageError(f"levels must lie in [0, {n - 2}] for n={n}")
     if any(k < 0 for k in k_values):
         raise UsageError("degrees must be >= 0")
+    if args.seeds < 0:
+        raise UsageError(f"--seeds must be >= 0, got {args.seeds}")
     report = _new_report(
         "verify-psd",
         {"n": n, "m": m_values, "k": k_values, "r": args.r, "seeds": args.seeds},

@@ -103,7 +103,7 @@ def coeffs_1d(n: int, k: int) -> GegenbauerPolynomial:
 
 
 def _homogeneous(nu: int, k: int, d, e):
-    """e^(k/2) * G_k^{(nu)}(d / sqrt(e)) for e >= 0, division-free.
+    """e^(k/2) * G_k^{(nu)}(d / sqrt(e)) for finite d and e, e >= 0, division-free.
 
     Runs the three-term recurrence of H_j = e^(j/2) G_j(d / sqrt(e)):
     H_0 = 1, H_1 = d and
@@ -111,52 +111,46 @@ def _homogeneous(nu: int, k: int, d, e):
         H_j = ((2j+nu-4) d H_{j-1} - (j-1) e H_{j-2}) / (j+nu-3),
 
     which holds no square root and no division by e, so e = 0 is exact.
-    Python scalars stay floats throughout.  Arrays broadcast; the
-    recurrence then updates three work buffers in place and never writes
-    into d or e.
+    One loop serves floats and arrays: augmented assignments rebind floats
+    and update in place only arrays made here.  Scalar d and e give a
+    Python float, anything else a fresh array of their broadcast shape.
     """
-    if isinstance(d, (int, float)) and isinstance(e, (int, float)):
-        d, e = float(d), float(e)
-        if k == 0:
-            return 1.0
-        prev, cur = 1.0, d
-        for j in range(2, k + 1):
-            nxt = ((2 * j + nu - 4) * (d * cur) - (j - 1) * (e * prev)) / (j + nu - 3)
-            prev, cur = cur, nxt
-        return cur
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    shape = np.broadcast_shapes(d.shape, e.shape)
-    cur = np.ones(shape) if k == 0 else np.array(np.broadcast_to(d, shape))
-    if k >= 2:
-        prev, tmp = np.ones(shape), np.empty(shape)
-        for j in range(2, k + 1):
-            np.multiply(d, cur, out=tmp)
-            tmp *= 2 * j + nu - 4
-            np.multiply(e, prev, out=prev)
-            prev *= j - 1
-            tmp -= prev
-            tmp /= j + nu - 3
-            prev, cur, tmp = cur, tmp, prev
-    return cur if cur.ndim else float(cur)
+    # H_0 = 1 and H_1 = d by exact arithmetic, which broadcasts d against e
+    prev = 1.0 + 0.0 * (d * e)
+    cur = d * prev
+    for j in range(2, k + 1):
+        prev *= e  # H_{j-2} is not needed again
+        prev *= j - 1
+        nxt = d * cur
+        nxt *= 2 * j + nu - 4
+        nxt -= prev
+        nxt /= j + nu - 3
+        prev, cur = cur, nxt
+    h = cur if k else prev
+    return h if isinstance(h, np.ndarray) else float(h)
 
 
 def _uv_arrays(u, v, m: int) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if u.size != m or v.size != m:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape[-1:] != (m,) or v.shape[-1:] != (m,):
         raise ValueError(f"u and v must have length m={m}")
     return u, v
 
 
-def eval_mv(n: int, m: int, k: int, t: float, u=(), v=()) -> float:
-    """Multivariate Gegenbauer value at (t, u, v), division-free."""
+def eval_mv(n: int, m: int, k: int, t, u=(), v=()):
+    """Multivariate Gegenbauer value at (t, u, v), division-free.
+
+    u and v are vectors of length m (with a scalar t, the value is a
+    float) or stacks of shape (..., m), against which t broadcasts; the
+    array then equals the row-by-row calls bit for bit.
+    """
     if m < 0 or m > n - 2:
         raise ValueError(f"level m={m} out of range [0, {n - 2}]")
     _check_nk(n - m, k)
     u, v = _uv_arrays(u, v, m)
-    d = t - float(u @ v)
-    e = (1.0 - float(u @ u)) * (1.0 - float(v @ v))
+    d = t - (u * v).sum(-1)
+    e = (1.0 - (u * u).sum(-1)) * (1.0 - (v * v).sum(-1))
     return _homogeneous(n - m, k, d, e)
 
 
@@ -278,25 +272,27 @@ def addition_coefficients(n: int, k: int) -> AdditionCoefficients:
     return AdditionCoefficients(n, k, tuple(float(x) for x in c))
 
 
-def addition_term(u, n: int, m: int, k: int, s: int) -> float:
+def addition_term(u, n: int, m: int, k: int, s: int):
     """The degree-(k-s) anchor polynomial of the level-raising identity.
 
     With nu = n - m + 1 (the effective dimension parameter at level m-1),
     equals sqrt(c[s]) * w^(k-s) * G_{k-s} of dimension parameter nu+2s at
     u_m / w, with w^2 = 1 - u_1^2 - ... - u_{m-1}^2, evaluated by the
     homogeneous recurrence in (u_m, w^2) so w = 0 is regular.  The
-    coefficients c are the addition coefficients for (nu, k).
+    coefficients c are the addition coefficients for (nu, k).  A vector u
+    gives a float, a stack of shape (..., m) an array that equals the
+    row-by-row calls bit for bit.
     """
     if not 1 <= m <= n - 2:
         raise ValueError(f"level m={m} out of range [1, {n - 2}]")
     if not 0 <= s <= k:
         raise ValueError(f"index s={s} out of range [0, {k}]")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != m:
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (m,):
         raise ValueError(f"u must have length m={m}")
     nu = n - m + 1
-    w2 = 1.0 - float(u[: m - 1] @ u[: m - 1])
-    val = _homogeneous(nu + 2 * s, k - s, float(u[m - 1]), w2)
+    w2 = 1.0 - (u[..., : m - 1] ** 2).sum(-1)
+    val = _homogeneous(nu + 2 * s, k - s, u[..., m - 1], w2)
     return sqrt(addition_coefficients(nu, k).c[s]) * val
 
 
@@ -491,26 +487,28 @@ def addition_residual(n: int, m: int, k: int, samples: int = 100, seed: int = 0)
     of anchor-polynomial products times level-m polynomials, where u and v
     extend u' and v' by one ball coordinate.  For exact coefficients the
     residual is at machine precision.
+
+    rng_for(seed, n, m, k) draws all samples at once: u, then v, each
+    (samples, m) in the cube; a shrink factor into the ball for each row
+    of u, then of v, of norm >= 1; then t.  eval_mv and addition_term each
+    run once per term on the whole stack.
     """
     if not 1 <= m <= n - 2:
         raise ValueError(f"level m={m} out of range [1, {n - 2}]")
+    if samples < 1:
+        raise ValueError(f"need at least 1 sample, got {samples}")
     rng = rng_for(seed, n, m, k)
-    worst = 0.0
-    for _ in range(samples):
-        u = rng.uniform(-1.0, 1.0, size=m)
-        v = rng.uniform(-1.0, 1.0, size=m)
-        for w in (u, v):
-            nw = np.linalg.norm(w)
-            if nw >= 1.0:
-                w *= rng.uniform(0.0, 0.999) / nw
-        e = (1.0 - float(u @ u)) * (1.0 - float(v @ v))
-        t = float(u @ v) + rng.uniform(-1.0, 1.0) * np.sqrt(e)
-        lhs = eval_mv(n, m - 1, k, t, u[: m - 1], v[: m - 1])
-        rhs = sum(
-            addition_term(u, n, m, k, s)
-            * addition_term(v, n, m, k, s)
-            * eval_mv(n, m, s, t, u, v)
-            for s in range(k + 1)
-        )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    u = rng.uniform(-1.0, 1.0, size=(samples, m))
+    v = rng.uniform(-1.0, 1.0, size=(samples, m))
+    for w in (u, v):
+        nw = np.linalg.norm(w, axis=1)
+        out = nw >= 1.0
+        w[out] *= (rng.uniform(0.0, 0.999, size=int(out.sum())) / nw[out])[:, None]
+    e = (1.0 - (u * u).sum(-1)) * (1.0 - (v * v).sum(-1))
+    t = (u * v).sum(-1) + rng.uniform(-1.0, 1.0, size=samples) * np.sqrt(e)
+    lhs = eval_mv(n, m - 1, k, t, u[:, : m - 1], v[:, : m - 1])
+    rhs = sum(
+        addition_term(u, n, m, k, s) * addition_term(v, n, m, k, s) * eval_mv(n, m, s, t, u, v)
+        for s in range(k + 1)
+    )
+    return float(np.max(np.abs(lhs - rhs)))

@@ -332,6 +332,8 @@ class TestUsage:
             ["verify-orthogonality", "--n", "3", "--k", "-1", "--l", "2"],
             ["verify-addition", "--n", "4", "--k", "-1"],
             ["hierarchy", "PAIR", "--degree", "0"],
+            ["verify-addition", "--n", "5", "--m", "1..2", "--k", "4", "--samples", "0"],
+            ["verify-psd", "--n", "3", "--k", "1..2", "--seeds", "-1"],
         ],
     )
     def test_input_errors_exit_2(self, argv, tmp_path, capsys):
@@ -343,9 +345,15 @@ class TestUsage:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    def test_reproducible_reports(self, capsys):
-        argv = ["verify-psd", "--n", "4", "--m", "0..1", "--k", "2",
-                "--seeds", "2", "--seed", "11"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-psd", "--n", "4", "--m", "0..1", "--k", "2", "--seeds", "2", "--seed", "11"],
+            ["verify-addition", "--n", "6", "--m", "1..3", "--k", "4", "--seed", "5"],
+        ],
+        ids=["verify-psd", "verify-addition"],
+    )
+    def test_reproducible_reports(self, argv, capsys):
         main(argv)
         first = json.loads(capsys.readouterr().out)
         main(argv)
@@ -353,3 +361,7 @@ class TestUsage:
         first.pop("timestamp")
         second.pop("timestamp")
         assert first == second
+        if argv[0] == "verify-addition":
+            residuals = [c for c in first["checks"] if c["name"].startswith("identity residual")]
+            assert len(residuals) == 3
+            assert all(c["metric"] < 1e-9 for c in residuals)

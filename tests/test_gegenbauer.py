@@ -22,6 +22,39 @@ def sample_domain_triple(rng, m):
     return t, u, v
 
 
+def _homogeneous_reference(nu, k, d, e):
+    """The two loops _homogeneous replaced, kept verbatim as its reference.
+
+    A Python-float loop for int and float input, and for arrays a loop that
+    updates three work buffers in place.  _homogeneous must return what
+    this returns, bit for bit and with the same result type.
+    """
+    if isinstance(d, (int, float)) and isinstance(e, (int, float)):
+        d, e = float(d), float(e)
+        if k == 0:
+            return 1.0
+        prev, cur = 1.0, d
+        for j in range(2, k + 1):
+            nxt = ((2 * j + nu - 4) * (d * cur) - (j - 1) * (e * prev)) / (j + nu - 3)
+            prev, cur = cur, nxt
+        return cur
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    shape = np.broadcast_shapes(d.shape, e.shape)
+    cur = np.ones(shape) if k == 0 else np.array(np.broadcast_to(d, shape))
+    if k >= 2:
+        prev, tmp = np.ones(shape), np.empty(shape)
+        for j in range(2, k + 1):
+            np.multiply(d, cur, out=tmp)
+            tmp *= 2 * j + nu - 4
+            np.multiply(e, prev, out=prev)
+            prev *= j - 1
+            tmp -= prev
+            tmp /= j + nu - 3
+            prev, cur, tmp = cur, tmp, prev
+    return cur if cur.ndim else float(cur)
+
+
 class TestEval1d:
     def test_low_degrees(self):
         t = np.linspace(-1, 1, 11)
@@ -82,6 +115,39 @@ class TestCoeffs1d:
         assert c[1] == 0.0 and c[3] == 0.0
 
 
+class TestHomogeneous:
+    def test_matches_reference_bit_for_bit(self):
+        rng = rng_for(0x40E0, 1)
+        r = 12
+        d1 = rng.uniform(-2.0, 2.0, size=r)
+        e1 = rng.uniform(0.0, 1.5, size=r)
+        e1[:3] = 0.0
+        d2 = rng.uniform(-2.0, 2.0, size=(r, r))
+        e2 = rng.uniform(0.0, 1.5, size=(r, r))
+        e2[:2] = 0.0  # whole rows on the boundary
+        # the reference returns a Python float for each of these
+        scalars = [(0.7, 0.3), (-1.3, 0.0), (2, 1), (np.float64(0.4), np.float64(0.9)),
+                   (np.float64(0.5), 1.0), (np.array(0.5), 0.75)]
+        for nu in range(2, 13):
+            for k in range(31):
+                cases = [(d1, e1), (d1, 0.6), (d2, e2), (d2, 0.0), (0.25, e2)] + scalars
+                for d, e in cases:
+                    got = gg._homogeneous(nu, k, d, e)
+                    want = _homogeneous_reference(nu, k, d, e)
+                    assert type(got) is type(want), (nu, k, type(d), type(e))
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (
+                        nu, k, np.shape(d), np.shape(e))
+
+    def test_result_is_fresh_array_of_broadcast_shape(self):
+        d = np.linspace(-1.0, 1.0, 6)
+        for e, shape in [(0.5, (6,)), (np.full((4, 1), 0.5), (4, 6)), (np.ones(6), (6,))]:
+            for k in range(4):
+                got = gg._homogeneous(5, k, d, e)
+                assert type(got) is np.ndarray and got.shape == shape, (k, shape)
+                got[...] = 7.0
+                assert np.array_equal(d, np.linspace(-1.0, 1.0, 6)), k
+
+
 class TestEvalMv:
     def test_level_zero_reduces_to_1d(self):
         for t in np.linspace(-1, 1, 7):
@@ -140,6 +206,29 @@ class TestEvalMv:
             val = gg.eval_mv(4, 1, k, float(t), u, v)
             assert np.isfinite(val)
             assert val == pytest.approx(lead * (t - 0.4) ** k, rel=1e-13)
+
+    def test_stacked_rows_match_row_calls(self):
+        rng = rng_for(0x57AC, 2)
+        rows = 9
+        for m in range(4):
+            n = m + 4
+            u = rng.uniform(-0.6, 0.6, size=(rows, m))
+            v = rng.uniform(-0.6, 0.6, size=(rows, m))
+            t = rng.uniform(-1.0, 1.0, size=rows)
+            for k in range(6):
+                got = gg.eval_mv(n, m, k, t, u, v)
+                want = [gg.eval_mv(n, m, k, t[i], u[i], v[i]) for i in range(rows)]
+                assert got.shape == (rows,)
+                assert got.tobytes() == np.array(want).tobytes(), (m, k)
+                assert all(type(x) is float for x in want)
+                if m == 0:
+                    continue
+                for s in range(k + 1):
+                    got = gg.addition_term(u, n, m, k, s)
+                    want = [gg.addition_term(u[i], n, m, k, s) for i in range(rows)]
+                    assert got.shape == (rows,)
+                    assert got.tobytes() == np.array(want).tobytes(), (m, k, s)
+                    assert all(type(x) is float for x in want)
 
     def test_domain_gap(self):
         assert gg.domain_gap(0.0, [0.0], [0.0]) == pytest.approx(1.0)
@@ -358,7 +447,7 @@ class TestOrthogonality:
                 expected = e ** (k / 2) * gg.eval_1d(nu, k, s)
                 got = gg._homogeneous(nu, k, s * np.sqrt(e), e)
                 assert np.max(np.abs(got - expected)) < 1e-13, (nu, k)
-                for i in range(4):  # the Python-float path, e = 0 included
+                for i in range(4):  # Python floats, e = 0 included
                     got = gg._homogeneous(nu, k, float(s[i] * sqrt(e[i])), float(e[i]))
                     assert abs(got - expected[i]) < 1e-13, (nu, k, i)
 
