@@ -7,10 +7,11 @@ linear program optimizing the classical m = 0 bound with post-hoc
 certificate verification.
 
 The counting bound is read off its residual, a polynomial in the code
-size N of degree m + 1 with exact dyadic coefficients: Sturm sequences
-locate its sign changes in integer arithmetic, so the cost does not
-depend on N, and the float residual is evaluated only where rounding
-could flip its sign.
+size N of degree m + 1 with exact dyadic coefficients, and every sign
+is decided on that exact polynomial: Sturm sequences locate its sign
+changes in integer arithmetic, so the cost does not depend on N.  Two
+results are refused with ValueError rather than printed inexactly: an
+N_max + 1 above 2^53, and a residual whose float would overflow.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import cos, factorial, isfinite, isinf, lcm
+from math import cos, factorial, isfinite, lcm
 
 import numpy as np
 
@@ -523,37 +524,15 @@ def _first_nonpositive(poly: list[int], seq: list[list[int]], lo: int) -> int:
         lo, v_lo = hi, _sign_changes(seq, hi)
 
 
-def _residual_sign_bounds(b_map: dict, f0: float, m: int):
-    """Integer polynomials lo, hi in N that decide the float residual's sign.
-
-    lo = R - E and hi = R + E, each times a positive constant, where
-    R(N) = sum of b q_omega(N) - f0 N^(m+1) in exact rationals and E(N)
-    bounds the rounding error of r(N), the float residual.  r(N) is
-    at most five products of a float by a rounded integer, four
-    additions, a libm pow within one ulp, one product and one
-    subtraction.  Without overflow |r - R| <= 7u T(N), u = 2^-53, where
-    T(N) sums the terms' absolute values; E = 2^-49 T keeps a factor of
-    two in hand.  A float times an integer is exact when it underflows,
-    so only f0 N^(m+1) can round in the subnormal range, by at most
-    2^-1075, and only when f0 is subnormal.  So lo(N) > 0 means r(N) > 0
-    and hi(N) < 0 means r(N) < 0.
-    """
+def _residual_poly(b_map: dict, f0: float, m: int) -> list[Fraction]:
+    """R(N) = sum of b q_omega(N) - f0 N^(m+1) in exact rationals, ascending powers."""
     exact = [Fraction(0)] * (m + 2)
-    total = [Fraction(0)] * (m + 2)
     for omega, b in b_map.items():
         b = Fraction(b)
         for i, c in enumerate(_q_poly(omega)):
             exact[i] += b * c
-            total[i] += abs(b) * c
     exact[m + 1] -= Fraction(f0)
-    total[m + 1] += Fraction(f0)
-    err = [c / 2**49 for c in total]
-    if f0 < 2.0**-1022:
-        err[0] += Fraction(1, 2**1074)
-    return (
-        _to_int([r - e for r, e in zip(exact, err)]),
-        _to_int([r + e for r, e in zip(exact, err)]),
-    )
+    return exact
 
 
 def theorem61_bound(
@@ -568,18 +547,17 @@ def theorem61_bound(
     ValueError, since dropping its supremum would understate the bound,
     and so do non-finite inputs.
 
-    N_max is one less than the first N >= 2 where the float residual
-    sum of b q_omega(N) - f0 N^(m+1) is negative.  Its exact counterpart
-    is a polynomial of degree m + 1 with a negative leading term, since
-    the all-distinct pattern contributes nothing.  Two integer
-    polynomials bracket it by the float rounding error; a Sturm count
-    jumps over every N where the float residual is surely positive, and
-    the float residual itself is evaluated only in the few N around a
-    root where rounding could decide the sign.  The cost does not depend
-    on N_max, and the result, residuals included, is what the float
-    residual evaluated at N = 2, 3, ... in turn gives.  A float part that
-    overflows before the residual turns negative, and an N_max + 1 above
-    2^53, where float(N) is no longer exact, raise ValueError.
+    N_max is one less than the first N >= 2 where the residual
+    R(N) = sum of b q_omega(N) - f0 N^(m+1) is negative, every sign
+    decided exactly: the float inputs are read as the rationals they are,
+    and R is a polynomial of degree m + 1 with a negative leading term,
+    since the all-distinct pattern contributes nothing.  Scaled to
+    integer coefficients R takes integer values at integer N, so R(N) < 0
+    exactly where that polynomial plus one is <= 0, and a Sturm search
+    finds the first such N at a cost that does not depend on N_max.  The
+    residuals reported are float(R(N_max)) and float(R(N_max + 1)).  An
+    N_max + 1 above 2^53, where float(N) is no longer exact, and a
+    residual too large for a float raise ValueError.
     """
     if m not in (0, 1, 2):
         raise ValueError("m must be 0, 1, or 2")
@@ -616,47 +594,26 @@ def theorem61_bound(
             "the all-distinct pattern needs a nonpositive supremum for a finite bound"
         )
 
-    def rhs(big_n: int) -> float:
-        return sum(b * q_omega(omega, big_n) for omega, b in b_map.items())
-
-    def lhs(big_n: int) -> float:
-        return f0 * float(big_n) ** (m + 1)
-
-    def residual(big_n: int) -> float:
-        return rhs(big_n) - lhs(big_n)
-
-    lo, hi = _residual_sign_bounds(b_map, f0, m)
-    lo_sturm = _sturm(lo)
-    big_n = 2  # ends at the first N whose float residual is not >= 0
-    while big_n <= FLOAT_INT_LIMIT:
-        if _horner(hi, big_n) < 0:
-            break
-        if _horner(lo, big_n) > 0:
-            big_n = _first_nonpositive(lo, lo_sturm, big_n)
-        elif residual(big_n) >= 0:
-            big_n += 1
-        else:
-            break
-    top = min(big_n, FLOAT_INT_LIMIT)
-    if isinf(rhs(top)) or isinf(lhs(top)):
-        # each float part is nondecreasing in N, so without overflow here
-        # there is none below, where every decision was made
-        raise ValueError(
-            f"the float residual overflows by N = {top}; f0, f_diag and the "
-            "suprema can be divided by a common factor, since the counting "
-            "inequality is homogeneous in them"
-        )
+    exact = _residual_poly(b_map, f0, m)
+    poly = _to_int(exact)
+    poly[0] += 1  # an integer at integer N, so poly(N) <= 0 exactly where R(N) < 0
+    big_n = _first_nonpositive(poly, _sturm(poly), 2) if _horner(poly, 2) > 0 else 2
     if big_n > FLOAT_INT_LIMIT:
         raise ValueError(
             f"N_max + 1 exceeds 2**53 = {FLOAT_INT_LIMIT}, beyond which float(N) "
             "is not exact; check the supplied suprema"
         )
-    ratio = f_diag / f0 if m == 0 else None
+    try:
+        at_n, at_next = float(_horner(exact, big_n - 1)), float(_horner(exact, big_n))
+    except OverflowError:
+        raise ValueError(
+            f"the residual at N = {big_n - 1} or {big_n} overflows a float"
+        ) from None
     return Theorem61Result(
         n_max=big_n - 1,
-        residual_at_n=residual(big_n - 1),
-        residual_at_next=residual(big_n),
-        ratio=ratio,
+        residual_at_n=at_n,
+        residual_at_next=at_next,
+        ratio=f_diag / f0 if m == 0 else None,
     )
 
 
@@ -667,7 +624,16 @@ def code_audit(points: PointConfiguration, theta: float) -> bool:
 
 
 def greedy_code(n: int, theta: float, seed: int, max_rejects: int = 200) -> PointConfiguration:
-    """A reproducible (non-optimal) code built by greedy rejection packing."""
+    """A reproducible (non-optimal) code built by greedy rejection packing.
+
+    n < 1 and theta outside (0, pi), NaN included, raise ValueError: at
+    theta = 0 or with no coordinates every point is accepted, so the
+    packing never ends.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0.0 < theta < np.pi:
+        raise ValueError(f"theta must be in (0, pi), got {theta}")
     c = cos(theta)
     rng = rng_for(seed, n)
     accepted: list[np.ndarray] = []

@@ -200,6 +200,19 @@ class TestBound:
         assert rc == 0
         assert "bound:" in capsys.readouterr().out
 
+    def test_counting_float_tie_decided_exactly(self, tmp_path, capsys):
+        # the float residual at N = 111 rounds below zero; the exact one is +137/2^56
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "n": 4, "theta": "pi/3", "m": 1, "f0": 0.06839747911460346,
+            "f_diag": 38.76134839373541, "B": {"2+1": 2.436254520537254},
+        }))
+        assert main(["bound", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("bound: 111.0\n")
+        report = json.loads(out.split("\n", 1)[1])
+        assert report["checks"][0]["metric"] == -7.943874280944808
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{broken")
@@ -212,7 +225,7 @@ class TestBound:
             {"f_diag": float("inf")},
             {"B": {"2+1": float("nan")}},
             {"B": {"2+1": 2.0**52}},  # N_max + 1 beyond 2^53
-            {"f0": 1e300, "f_diag": 1.0, "B": {"2+1": 1e306}},  # the residual overflows
+            {"f0": 1e307, "f_diag": 1.0, "B": {"2+1": 1.7e308}},  # the residual overflows
         ],
     )
     def test_counting_input_errors_exit_2(self, tmp_path, capsys, change):
@@ -334,6 +347,10 @@ class TestUsage:
             ["hierarchy", "PAIR", "--degree", "0"],
             ["verify-addition", "--n", "5", "--m", "1..2", "--k", "4", "--samples", "0"],
             ["verify-psd", "--n", "3", "--k", "1..2", "--seeds", "-1"],
+            ["codes", "--n", "3", "--theta", "0"],
+            ["codes", "--n", "0", "--theta", "pi/2"],
+            ["codes", "--n", "3", "--theta", "nan"],
+            ["codes", "--n", "3", "--theta", "4"],
         ],
     )
     def test_input_errors_exit_2(self, argv, tmp_path, capsys):

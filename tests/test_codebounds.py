@@ -1,7 +1,7 @@
 """Pattern combinatorics, certificate checks, and code bounds."""
 
 from fractions import Fraction
-from math import cos, isqrt, pi, sqrt
+from math import cos, floor, isqrt, pi, sqrt
 
 import numpy as np
 import pytest
@@ -30,38 +30,38 @@ from spherepd.gegenbauer import gegenbauer_expansion
 from spherepd.spherical import named_code
 
 
-def _scan_reference(m, f0, f_diag, b_values):
-    """The counting bound by evaluating the float residual at N = 2, 3, ...
-
-    The same b_map, in the same order, and the same float expression as
-    theorem61_bound, which must return what this scan returns.
-    """
-    d = m + 2
-    b_map = dict.fromkeys(enumerate_patterns(d), 0.0)
-    b_map[PartitionPattern((d,))] = f_diag
-    for key, val in b_values.items():
-        b_map[PartitionPattern(key)] = max(float(val), 0.0)
+def _exact_residual_of(m, f0, f_diag, b_values):
+    """N -> the counting residual in Fraction, the float inputs read exactly."""
+    lead, const = Fraction(f0), Fraction(f_diag)
+    terms = [(max(Fraction(v), Fraction(0)), PartitionPattern(k)) for k, v in b_values.items()]
 
     def residual(big_n):
-        rhs = sum(b * q_omega(omega, big_n) for omega, b in b_map.items())
-        return rhs - f0 * float(big_n) ** (m + 1)
+        rhs = const + sum(b * q_omega(omega, big_n) for b, omega in terms)
+        return rhs - lead * big_n ** (m + 1)
 
+    return residual
+
+
+def _exact_residual(m, f0, f_diag, b_values, big_n):
+    return _exact_residual_of(m, f0, f_diag, b_values)(big_n)
+
+
+def _scan_reference(m, f0, f_diag, b_values):
+    """The counting bound by evaluating the exact residual at N = 2, 3, ...
+
+    theorem61_bound must return what this scan returns, the residuals
+    reported as their floats.
+    """
+    residual = _exact_residual_of(m, f0, f_diag, b_values)
     n_max = 1
     while residual(n_max + 1) >= 0:
         n_max += 1
     return Theorem61Result(
         n_max=n_max,
-        residual_at_n=residual(n_max),
-        residual_at_next=residual(n_max + 1),
+        residual_at_n=float(residual(n_max)),
+        residual_at_next=float(residual(n_max + 1)),
         ratio=f_diag / f0 if m == 0 else None,
     )
-
-
-def _exact_residual(m, f0, f_diag, b_values, big_n):
-    total = Fraction(f_diag) - Fraction(f0) * big_n ** (m + 1)
-    for key, val in b_values.items():
-        total += max(Fraction(val), Fraction(0)) * q_omega(PartitionPattern(key), big_n)
-    return total
 
 
 def _random_counting_config(m, rng):
@@ -295,7 +295,8 @@ class TestTheorem61:
         direct = delsarte_bound(coeffs, n, pi / 2)
         res = theorem61_bound(0, float(exp[0]), float(np.sum(coeffs)), {})
         assert res.ratio == direct  # identical float division
-        assert res.n_max == int(direct + 1e-9)
+        # f_diag / f0 is 12 in floats but just under 12 exactly
+        assert res.n_max == floor(Fraction(2.0) / Fraction(float(exp[0]))) == 11
 
     def test_m1_reduction_formula(self):
         f0, f_diag, b = 0.25, 2.0, 1.5
@@ -349,7 +350,7 @@ class TestTheorem61:
 
     def test_matches_scan_on_float_ties(self):
         # at n = 6 the float residual is 0.0 at N = 12 and the exact one
-        # -2^-52: deciding the sign exactly would give N_max = 11
+        # -2^-52, so N_max = 11
         for n in range(3, 41):
             cfg = (0, float(gegenbauer_expansion([0, 1, 1], n)[0]), 2.0, {})
             assert theorem61_bound(*cfg) == _scan_reference(*cfg), n
@@ -370,15 +371,24 @@ class TestTheorem61:
         assert res.n_max == 10 and res.residual_at_n == 0.0
 
     def test_overflowing_float_parts_refused(self):
-        # the right side overflows near N = 60, long before the exact root
-        # near 3e6; the inequality is homogeneous in f0, f_diag and the
-        # suprema, so the same config divided by 1e300 finds that root
-        with pytest.raises(ValueError, match="overflows"):
-            theorem61_bound(1, 1e300, 1.0, {(2, 1): 1e306})
-        cfg = (1, 1.0, 1e-300, {(2, 1): 1e6})
+        # float parts that would overflow near N = 60 do not matter: the
+        # signs are exact, and so is the root near 3e6
+        cfg = (1, 1e300, 1.0, {(2, 1): 1e306})
         res = theorem61_bound(*cfg)
         assert res.n_max == 2_999_998
         assert _exact_residual(*cfg, res.n_max) >= 0 > _exact_residual(*cfg, res.n_max + 1)
+        # R(49) is about 4.7e308: no float can report it
+        with pytest.raises(ValueError, match="overflows a float"):
+            theorem61_bound(1, 1e307, 1.0, {(2, 1): 1.7e308})
+
+    def test_float_tie_decided_exactly(self):
+        # R(111) = +137/2^56 and R(112) = -7.94; the float residual at 111
+        # rounds below zero
+        cfg = (1, 0.06839747911460346, 38.76134839373541, {(2, 1): 2.436254520537254})
+        assert _exact_residual(*cfg, 111) == Fraction(137, 2**56)
+        res = theorem61_bound(*cfg)
+        assert res == _scan_reference(*cfg)
+        assert res.n_max == 111 and res.residual_at_next == -7.943874280944808
 
     def test_m1_large_n_closed_form(self):
         # 2 + 3 b (N - 1) - N^2 / 4 >= 0 up to 6 b + sqrt(4 (9 b^2 + 2 - 3 b))
