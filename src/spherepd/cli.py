@@ -22,7 +22,7 @@ from math import cos, pi
 
 import numpy as np
 
-from . import codebounds, constraints, serialize, spherical, symlin
+from . import codebounds, constraints, serialize, spherical
 from .gegenbauer import (
     addition_coefficients,
     addition_residual,
@@ -138,17 +138,19 @@ def cmd_verify_psd(args) -> RunReport:
         {"n": n, "m": m_values, "k": k_values, "r": args.r, "seeds": args.seeds},
         args.seed,
     )
+    # each seed's points are drawn and checked once, and each (seed, level)
+    # runs one recurrence pass over all the degrees
+    seeds = [args.seed + s for s in range(args.seeds)]
+    points = [spherical.sample_sphere(n, args.r, seed).require_unit() for seed in seeds]
     for m in m_values:
-        for k in k_values:
-            if args.seeds == 0:
+        reports = [spherical.kernel_psd_reports(pts, m, k_values) for pts in points]
+        for i, k in enumerate(k_values):
+            if not seeds:
                 report.add(f"psd n={n} m={m} k={k}", "skip")
-                continue
-            for s in range(args.seeds):
-                pts = spherical.sample_sphere(n, args.r, args.seed + s)
-                km = spherical.kernel_matrix(pts, m, k)
-                rep = symlin.is_psd(km.base)
+            for seed, per_degree in zip(seeds, reports):
+                rep = per_degree[i]
                 report.add(
-                    f"psd n={n} m={m} k={k} seed={args.seed + s}",
+                    f"psd n={n} m={m} k={k} seed={seed}",
                     "pass" if rep.is_psd else "fail",
                     metric=rep.min_eigenvalue,
                     tolerance=rep.threshold,

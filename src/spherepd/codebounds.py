@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import cos, factorial, isfinite, lcm
+from math import cos, factorial, isfinite, lcm, pi
 
 import numpy as np
 
-from .gegenbauer import coeffs_1d, eval_1d, gegenbauer_expansion
+from .gegenbauer import _homogeneous_upto, coeffs_1d, gegenbauer_expansion
 from .randgen import rng_for
 from .simplex import solve_lp
 from .spherical import PointConfiguration
@@ -326,6 +326,13 @@ def _poly_coeffs(coeffs) -> np.ndarray:
     return coeffs
 
 
+def _check_theta(theta: float) -> None:
+    """Refuse a minimal angle outside (0, pi], NaN included: cos would read
+    theta = 4 as 2 pi - 4, and at theta = 0 the LP has no solution."""
+    if not 0.0 < theta <= pi:
+        raise ValueError(f"theta must be in (0, pi], got {theta}")
+
+
 def verify_nonpositive(coeffs, theta: float, tol: float = 1e-12) -> bool:
     """True iff the polynomial's maximum on [-1, cos theta] is <= tol."""
     return poly_max_on_interval(coeffs, -1.0, cos(theta)) <= tol
@@ -365,6 +372,7 @@ def delsarte_bound(coeffs, n: int, theta: float) -> float:
     nonpositive on [-1, cos theta], both checked on f / f0 so that scale
     does not matter.  Empty or non-finite coefficients raise ValueError.
     """
+    _check_theta(theta)
     coeffs = _poly_coeffs(coeffs)
     expansion = gegenbauer_expansion(coeffs, n)
     f0 = float(expansion[0])
@@ -393,13 +401,16 @@ def delsarte_lp(
     continuous interval, shrinking the constant term by any detected grid
     overshoot before the ratio is reported.
     """
+    _check_theta(theta)
+    if n < 2:
+        raise ValueError(f"dimension parameter must be >= 2, got {n}")
     if degree < 1 or degree > 30:
         raise ValueError("degree must be in [1, 30]")
     if grid_size < 256:
         raise ValueError("grid must have at least 256 points")
     c = cos(theta)
     ts = np.linspace(-1.0, c, grid_size)
-    gvals = np.vstack([eval_1d(n, k, ts) for k in range(1, degree + 1)])
+    gvals = np.vstack(list(_homogeneous_upto(n, degree, ts, 1.0, 1)))  # G_1..G_degree
 
     # variables f_1..f_degree >= 0; grid rows sum_k G_k(t) f_k <= -1.
     # Solved via the dual (grid_size variables, degree rows), whose slack
@@ -619,6 +630,7 @@ def theorem61_bound(
 
 def code_audit(points: PointConfiguration, theta: float) -> bool:
     """True iff all pairwise inner products stay at or below cos theta."""
+    _check_theta(theta)
     points.require_unit()
     return points.max_inner_product() <= cos(theta) + 1e-12
 

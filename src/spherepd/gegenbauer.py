@@ -102,32 +102,49 @@ def coeffs_1d(n: int, k: int) -> GegenbauerPolynomial:
     return GegenbauerPolynomial(n, k, tuple(cur))
 
 
-def _homogeneous(nu: int, k: int, d, e):
-    """e^(k/2) * G_k^{(nu)}(d / sqrt(e)) for finite d and e, e >= 0, division-free.
+def _homogeneous_upto(nu: int, k: int, d, e, lo: int = 0):
+    """Yield H_j = e^(j/2) * G_j^{(nu)}(d / sqrt(e)) for j = lo..k, from one pass.
 
-    Runs the three-term recurrence of H_j = e^(j/2) G_j(d / sqrt(e)):
-    H_0 = 1, H_1 = d and
+    d and e are finite with e >= 0.  The three-term recurrence H_0 = 1,
+    H_1 = d and
 
-        H_j = ((2j+nu-4) d H_{j-1} - (j-1) e H_{j-2}) / (j+nu-3),
+        H_j = ((2j+nu-4) d H_{j-1} - (j-1) e H_{j-2}) / (j+nu-3)
 
-    which holds no square root and no division by e, so e = 0 is exact.
-    One loop serves floats and arrays: augmented assignments rebind floats
-    and update in place only arrays made here.  Scalar d and e give a
-    Python float, anything else a fresh array of their broadcast shape.
+    holds no square root and no division by e, so e = 0 is exact.  One
+    loop serves floats and arrays: scalar d and e give Python floats,
+    anything else fresh arrays of their broadcast shape.  Nothing is
+    written to a value after it is yielded, so list() of this is safe;
+    the storage of H_j for j < lo, which is never yielded, is reused.
     """
     # H_0 = 1 and H_1 = d by exact arithmetic, which broadcasts d against e
     prev = 1.0 + 0.0 * (d * e)
     cur = d * prev
+    if lo == 0:
+        yield _value(prev)
+    if lo <= 1 <= k:
+        yield _value(cur)
     for j in range(2, k + 1):
-        prev *= e  # H_{j-2} is not needed again
+        if j - 2 < lo:  # H_{j-2} was not yielded and is not needed again
+            prev *= e
+        else:
+            prev = prev * e
         prev *= j - 1
         nxt = d * cur
         nxt *= 2 * j + nu - 4
         nxt -= prev
         nxt /= j + nu - 3
         prev, cur = cur, nxt
-    h = cur if k else prev
+        if j >= lo:
+            yield _value(nxt)
+
+
+def _value(h):
     return h if isinstance(h, np.ndarray) else float(h)
+
+
+def _homogeneous(nu: int, k: int, d, e):
+    """e^(k/2) * G_k^{(nu)}(d / sqrt(e)): _homogeneous_upto's only value at lo = k."""
+    return next(_homogeneous_upto(nu, k, d, e, k))
 
 
 def _uv_arrays(u, v, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symlin
-from .gegenbauer import _homogeneous, eval_1d, monomial_vector
+from .gegenbauer import _homogeneous, _homogeneous_upto, monomial_vector
 from .randgen import rng_for
 from .symlin import PsdReport, SymmetricMatrix
 
@@ -18,6 +18,7 @@ __all__ = [
     "named_code",
     "project",
     "kernel_matrix",
+    "kernel_psd_reports",
     "bv_matrices",
     "verify_corollary31",
 ]
@@ -135,6 +136,14 @@ def project(points: PointConfiguration, m: int) -> np.ndarray:
     return points.coords[:, :m]
 
 
+def _kernel_args(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence arguments d = t - <u_i, v_j> and e = (1-|u_i|^2)(1-|v_j|^2)."""
+    d = t - u @ v.T
+    au = 1.0 - np.einsum("ij,ij->i", u, u)
+    av = 1.0 - np.einsum("ij,ij->i", v, v)
+    return d, np.outer(au, av)
+
+
 def kernel_values(
     n: int, m: int, k: int, t: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
@@ -143,25 +152,51 @@ def kernel_values(
     t has shape (r, r); u, v have shape (r, m); entry (i, j) is evaluated
     at (t[i, j], u[i], v[j]).
     """
-    d = t - u @ v.T
-    au = 1.0 - np.einsum("ij,ij->i", u, u)
-    av = 1.0 - np.einsum("ij,ij->i", v, v)
-    e = np.outer(au, av)
-    return _homogeneous(n - m, k, d, e)
+    return _homogeneous(n - m, k, *_kernel_args(t, u, v))
+
+
+def _check_level(n: int, m: int) -> None:
+    if m < 0 or m > n - 2:
+        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
 
 
 def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
     """The PSD kernel matrix of a unit configuration at level m, degree k."""
     points.require_unit()
     n = points.n
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
     if k < 0:
         raise ValueError("degree must be >= 0")
     u = project(points, m)
     t = points.coords @ points.coords.T
     base = SymmetricMatrix(kernel_values(n, m, k, t, u, u), check=False)
     return KernelMatrix(base=base, n=n, m=m, k=k, source=f"r={points.size}")
+
+
+def kernel_psd_reports(
+    points: PointConfiguration, m: int, degrees, tol: float = symlin.DEFAULT_TOL
+) -> list[PsdReport]:
+    """symlin.is_psd of the level-m kernel matrix at each of the degrees.
+
+    The same matrices as kernel_matrix, from one recurrence pass up to
+    max(degrees): each is tested as the pass produces it and then dropped,
+    and it goes to is_psd as it is, with no symmetric copy, since it is
+    exactly symmetric by construction.  The points are taken to be on the
+    unit sphere (callers check once with require_unit).  The reports come
+    in the order of degrees.
+    """
+    _check_level(points.n, m)
+    degrees = list(degrees)
+    if any(k < 0 for k in degrees):
+        raise ValueError("degrees must be >= 0")
+    if not degrees:
+        return []
+    u = project(points, m)
+    d, e = _kernel_args(points.coords @ points.coords.T, u, u)
+    lo, wanted = min(degrees), set(degrees)
+    values = _homogeneous_upto(points.n - m, max(degrees), d, e, lo)
+    reports = {k: symlin.is_psd(h, tol) for k, h in enumerate(values, lo) if k in wanted}
+    return [reports[k] for k in degrees]
 
 
 def bv_matrices(
@@ -179,6 +214,8 @@ def bv_matrices(
     n = points.n
     if n < 3:
         raise ValueError("need ambient dimension >= 3")
+    if k < 0 or d < 0:
+        raise ValueError("degrees k and d must be >= 0")
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if weights.size != d + 1:
         raise ValueError(f"need d+1 = {d + 1} weights, got {weights.size}")
@@ -190,7 +227,7 @@ def bv_matrices(
         dmat = t - np.outer(tl, tl)
         e = np.outer(1.0 - tl**2, 1.0 - tl**2)
         a_l = _homogeneous(n - 1, k, dmat, e)
-        w = np.vstack([weights[i] * eval_1d(n + 2 * k, i, tl) for i in range(d + 1)])
+        w = weights[:, None] * np.vstack(list(_homogeneous_upto(n + 2 * k, d, tl, 1.0)))
         y = w @ a_l @ w.T
         y = 0.5 * (y + y.T)
         ys.append(SymmetricMatrix(y, check=False))
@@ -214,8 +251,7 @@ def verify_corollary31(
     """
     points.require_unit()
     n = points.n
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
     u = project(points, m)
     z = np.array([monomial_vector(row, d) for row in u])
     bad = []

@@ -91,12 +91,18 @@ class PsdReport:
 
 
 def _as_array(a) -> np.ndarray:
+    """The matrix to hand LAPACK, never to be written to: a SymmetricMatrix's
+    array, an exactly symmetric float array as given, else the symmetric part.
+
+    The symmetric part of a symmetric array is the array itself bit for bit,
+    where a + a.T does not overflow, so skipping its copy changes no result.
+    """
     if isinstance(a, SymmetricMatrix):
         return a.array
-    arr = np.array(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
-    return 0.5 * (arr + arr.T)
+    return arr if np.array_equal(arr, arr.T) else 0.5 * (arr + arr.T)
 
 
 def eigensystem(a) -> tuple[np.ndarray, np.ndarray]:

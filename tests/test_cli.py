@@ -6,7 +6,7 @@ from math import pi
 
 import pytest
 
-from spherepd import serialize
+from spherepd import serialize, spherical, symlin
 from spherepd.cli import UsageError, main, parse_range, parse_theta
 from spherepd.constraints import make_pair, pair_from_points
 from spherepd.spherical import sample_sphere
@@ -71,6 +71,48 @@ class TestVerifyPsd:
         rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
         assert rows[0] == ["name", "status", "metric", "tolerance"]
         assert rows[1][1] == "pass"
+
+
+def _reference_psd_checks(n, m_values, k_values, r, seeds, seed):
+    """The verify-psd checks built one (m, k, seed) at a time from kernel_matrix."""
+    checks = []
+    for m in m_values:
+        for k in k_values:
+            if seeds == 0:
+                checks.append({"name": f"psd n={n} m={m} k={k}", "status": "skip",
+                               "metric": None, "tolerance": None})
+            for s in range(seeds):
+                pts = spherical.sample_sphere(n, r, seed + s)
+                rep = symlin.is_psd(spherical.kernel_matrix(pts, m, k).base)
+                checks.append({"name": f"psd n={n} m={m} k={k} seed={seed + s}",
+                               "status": "pass" if rep.is_psd else "fail",
+                               "metric": rep.min_eigenvalue, "tolerance": rep.threshold})
+    return checks
+
+
+class TestVerifyPsdReport:
+    """One recurrence pass per (seed, level) prints what per-degree matrices print."""
+
+    @pytest.mark.parametrize(
+        "n,m,k,r,seeds,seed",
+        [
+            (4, (0, 2), (8, 12), 30, 2, 5),
+            (6, (0, 4), (12, 12), 30, 2, 9),
+            (3, (0, 1), (24, 30), 60, 3, 0),
+            (5, (0, 3), (0, 6), 20, 2, 41),
+            (5, (1, 2), (3, 5), 20, 0, 7),
+        ],
+        ids=["k8..12", "k12..12", "n3-high-degree", "n5-two-seeds", "zero-seeds"],
+    )
+    def test_checks_equal_per_matrix_reference(self, n, m, k, r, seeds, seed, capsys):
+        argv = ["verify-psd", "--n", str(n), "--m", f"{m[0]}..{m[1]}", "--k", f"{k[0]}..{k[1]}",
+                "--r", str(r), "--seeds", str(seeds), "--seed", str(seed)]
+        rc = main(argv)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        want = _reference_psd_checks(n, range(m[0], m[1] + 1), range(k[0], k[1] + 1),
+                                     r, seeds, seed)
+        assert checks == want
+        assert rc == (1 if any(c["status"] == "fail" for c in want) else 0)
 
 
 class TestVerifyOrthogonality:
@@ -351,12 +393,24 @@ class TestUsage:
             ["codes", "--n", "0", "--theta", "pi/2"],
             ["codes", "--n", "3", "--theta", "nan"],
             ["codes", "--n", "3", "--theta", "4"],
+            ["verify-psd", "--n", "3", "--r", "0", "--k", "1", "--seeds", "1"],
+            ["bound", "LP", "--theta", "0"],
+            ["bound", "LP", "--theta", "nan"],
+            ["bound", "LP", "--theta", "4"],
+            ["bound", "CERT", "--theta", "4"],
+            ["codes", "--name", "icosahedron", "--theta", "nan"],
         ],
     )
     def test_input_errors_exit_2(self, argv, tmp_path, capsys):
-        path = tmp_path / "pair.json"
-        path.write_text(serialize.pair_to_json(pair_from_points(sample_sphere(4, 5, seed=7))))
-        argv = [str(path) if a == "PAIR" else a for a in argv]
+        files = {
+            "PAIR": serialize.pair_to_json(pair_from_points(sample_sphere(4, 5, seed=7))),
+            "LP": json.dumps({"n": 4, "theta": "pi/2", "degree": 4, "grid": 512}),
+            # t (1 + t), a valid certificate at every theta in [pi/2, pi]
+            "CERT": json.dumps({"n": 4, "theta": "pi/2", "coeffs": [0.0, 1.0, 1.0]}),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -26,8 +26,9 @@ from spherepd.codebounds import (
     theorem61_bound,
     verify_nonpositive,
 )
-from spherepd.gegenbauer import gegenbauer_expansion
-from spherepd.spherical import named_code
+from spherepd.gegenbauer import eval_1d, gegenbauer_expansion
+from spherepd.simplex import solve_lp
+from spherepd.spherical import PointConfiguration, named_code
 
 
 def _exact_residual_of(m, f0, f_diag, b_values):
@@ -256,6 +257,26 @@ class TestDelsarteBound:
         assert not isinstance(info.value, CertificateError)
 
 
+class TestAngleRange:
+    """The LP bound, the certificate check and the audit take theta in (0, pi]."""
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), 4.0, pi + 1e-9, float("inf")])
+    def test_out_of_range_is_input_error(self, theta):
+        calls = [
+            lambda: delsarte_lp(4, theta, degree=4, grid_size=512),
+            lambda: delsarte_bound([0.0, 1.0, 1.0], 4, theta),
+            lambda: code_audit(named_code("icosahedron"), theta),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="theta must be in") as info:
+                call()
+            assert not isinstance(info.value, CertificateError)
+
+    def test_pi_is_valid(self):
+        assert code_audit(PointConfiguration(3, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), pi)
+        assert delsarte_bound([1.0, 1.0], 4, pi) == pytest.approx(2.0, abs=1e-12)
+
+
 class TestDelsarteLp:
     def test_orthogonal_angle_matches_cross_polytope(self):
         for n in (3, 4, 6):
@@ -275,6 +296,21 @@ class TestDelsarteLp:
         b1 = delsarte_lp(4, pi / 3, degree=6, grid_size=512).bound
         b2 = delsarte_lp(4, pi / 3, degree=10, grid_size=512).bound
         assert b2 <= b1 + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_grid_stack_matches_per_degree_evaluation(self, n, monkeypatch):
+        # the constraint rows handed to the simplex are -G_k(t) on the grid
+        seen = []
+
+        def spy(**kwargs):
+            seen.append(kwargs["a_ub"])
+            return solve_lp(**kwargs)
+
+        monkeypatch.setattr(cb, "solve_lp", spy)
+        delsarte_lp(n, pi / 3, degree=16, grid_size=4096)
+        ts = np.linspace(-1.0, cos(pi / 3), 4096)
+        want = np.vstack([eval_1d(n, k, ts) for k in range(1, 17)])
+        assert (-seen[0]).tobytes() == want.tobytes()
 
     def test_certificate_recomputes_bound(self):
         cert = delsarte_lp(5, pi / 2, degree=6, grid_size=512)

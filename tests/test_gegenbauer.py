@@ -148,6 +148,34 @@ class TestHomogeneous:
                 assert np.array_equal(d, np.linspace(-1.0, 1.0, 6)), k
 
 
+class TestHomogeneousUpto:
+    @pytest.mark.parametrize("nu", [2, 3, 5, 24])
+    @pytest.mark.parametrize("k", [0, 1, 2, 12, 30])
+    def test_every_degree_matches_single_degree_bit_for_bit(self, nu, k):
+        rng = rng_for(0x40E1, nu, k)
+        d = rng.uniform(-2.0, 2.0, size=(5, 7))
+        e = rng.uniform(0.0, 1.5, size=(5, 7))
+        for args in [(0.7, 0.3), (-1.3, 0.0), (d, e), (d, 0.0), (d, np.zeros((5, 1)))]:
+            values = list(gg._homogeneous_upto(nu, k, *args))
+            assert len(values) == k + 1
+            for j, got in enumerate(values):
+                want = gg._homogeneous(nu, j, *args)
+                assert type(got) is type(want), (nu, k, j)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (nu, k, j)
+            # starting at lo yields the same tail
+            for lo in sorted({0, k // 2, k}):
+                tail = list(gg._homogeneous_upto(nu, k, *args, lo))
+                assert len(tail) == k + 1 - lo
+                for got, want in zip(tail, values[lo:]):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, lo)
+
+    def test_yielded_arrays_are_distinct(self):
+        d = np.linspace(-1.0, 1.0, 9)
+        values = list(gg._homogeneous_upto(5, 6, d, 0.5))
+        assert len({id(h) for h in values}) == 7
+        assert not any(np.shares_memory(h, d) for h in values)
+
+
 class TestEvalMv:
     def test_level_zero_reduces_to_1d(self):
         for t in np.linspace(-1, 1, 7):

@@ -88,6 +88,24 @@ class TestKernelMatrix:
             spherical.kernel_matrix(pts, 2, 1)
 
 
+class TestKernelPsdReports:
+    @pytest.mark.parametrize("n,m,degrees", [(4, 0, [0, 1, 2, 3]), (5, 2, [7, 3, 3, 9]),
+                                             (3, 1, [30]), (6, 4, [12, 0])])
+    def test_equals_is_psd_of_each_kernel_matrix(self, n, m, degrees):
+        pts = sample_sphere(n, 20, seed=n * 10 + m)
+        got = spherical.kernel_psd_reports(pts, m, degrees)
+        want = [symlin.is_psd(spherical.kernel_matrix(pts, m, k).base) for k in degrees]
+        assert got == want
+
+    def test_guards(self):
+        pts = sample_sphere(4, 5, seed=11)
+        assert spherical.kernel_psd_reports(pts, 1, []) == []
+        with pytest.raises(ValueError):
+            spherical.kernel_psd_reports(pts, 3, [1])
+        with pytest.raises(ValueError):
+            spherical.kernel_psd_reports(pts, 0, [2, -1])
+
+
 class TestBvMatrices:
     def test_per_anchor_and_sum_psd(self):
         pts = sample_sphere(4, 10, seed=6)
@@ -98,6 +116,27 @@ class TestBvMatrices:
             assert symlin.is_psd(y).is_psd
         assert symlin.is_psd(total).is_psd
         assert np.allclose(total.array, sum(y.array for y in ys), atol=1e-12)
+
+    def test_matches_per_degree_rows_bit_for_bit(self):
+        from spherepd.gegenbauer import _homogeneous, eval_1d
+
+        n, k, d = 4, 2, 4
+        pts = sample_sphere(n, 6, seed=12)
+        weights = np.array([1.0, 0.5, 0.25, 0.1, 0.05])
+        ys, _ = spherical.bv_matrices(pts, k=k, d=d, weights=weights)
+        t = pts.coords @ pts.coords.T
+        for l, y in enumerate(ys):
+            tl = t[:, l]
+            a_l = _homogeneous(n - 1, k, t - np.outer(tl, tl), np.outer(1.0 - tl**2, 1.0 - tl**2))
+            w = np.vstack([weights[i] * eval_1d(n + 2 * k, i, tl) for i in range(d + 1)])
+            want = w @ a_l @ w.T
+            assert y.array.tobytes() == (0.5 * (want + want.T)).tobytes(), l
+
+    def test_negative_degrees_refused(self):
+        pts = sample_sphere(4, 5, seed=13)
+        for k, d in [(-1, 2), (1, -1)]:
+            with pytest.raises(ValueError):
+                spherical.bv_matrices(pts, k=k, d=d, weights=np.ones(max(d + 1, 0)))
 
     def test_zero_weights_give_zero(self):
         pts = sample_sphere(4, 5, seed=7)

@@ -91,6 +91,20 @@ class TestIsPsd:
         assert not symlin.is_psd(small).is_psd
 
 
+    def test_plain_arrays(self):
+        # an exactly symmetric array is read as it is; otherwise the
+        # symmetric part is tested, as before
+        rng = rng_for(5, 6)
+        b = rng.standard_normal((6, 3))
+        g = b @ b.T
+        g = np.triu(g) + np.triu(g, 1).T
+        assert symlin._as_array(g) is g
+        assert symlin.is_psd(g) == symlin.is_psd(SymmetricMatrix(g, check=False))
+        skew = np.array([[1.0, 3.0], [-3.0, 1.0]])
+        assert symlin.is_psd(skew).min_eigenvalue == pytest.approx(1.0)
+        assert np.array_equal(skew, [[1.0, 3.0], [-3.0, 1.0]])
+
+
 class TestRealize:
     def test_gram_of_realize_roundtrip(self):
         rng = rng_for(2, 5)
