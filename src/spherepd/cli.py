@@ -143,7 +143,7 @@ def cmd_verify_psd(args) -> RunReport:
     seeds = [args.seed + s for s in range(args.seeds)]
     points = [spherical.sample_sphere(n, args.r, seed).require_unit() for seed in seeds]
     for m in m_values:
-        reports = [spherical.kernel_psd_reports(pts, m, k_values) for pts in points]
+        reports = [spherical.kernel_psd_reports(pts, m, k_values[0], k_values[-1]) for pts in points]
         for i, k in enumerate(k_values):
             if not seeds:
                 report.add(f"psd n={n} m={m} k={k}", "skip")

@@ -115,7 +115,10 @@ def _homogeneous_upto(nu: int, k: int, d, e, lo: int = 0):
     anything else fresh arrays of their broadcast shape.  Nothing is
     written to a value after it is yielded, so list() of this is safe;
     the storage of H_j for j < lo, which is never yielded, is reused.
+    Degrees outside 0 <= lo <= k are a ValueError on the first next().
     """
+    if not 0 <= lo <= k:
+        raise ValueError(f"need degrees 0 <= lo <= k, got lo={lo}, k={k}")
     # H_0 = 1 and H_1 = d by exact arithmetic, which broadcasts d against e
     prev = 1.0 + 0.0 * (d * e)
     cur = d * prev

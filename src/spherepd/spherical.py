@@ -173,30 +173,19 @@ def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
     return KernelMatrix(base=base, n=n, m=m, k=k, source=f"r={points.size}")
 
 
-def kernel_psd_reports(
-    points: PointConfiguration, m: int, degrees, tol: float = symlin.DEFAULT_TOL
-) -> list[PsdReport]:
-    """symlin.is_psd of the level-m kernel matrix at each of the degrees.
+def kernel_psd_reports(points: PointConfiguration, m: int, lo: int, hi: int) -> list[PsdReport]:
+    """symlin.is_psd of the level-m kernel matrix at each degree lo..hi.
 
-    The same matrices as kernel_matrix, from one recurrence pass up to
-    max(degrees): each is tested as the pass produces it and then dropped,
-    and it goes to is_psd as it is, with no symmetric copy, since it is
-    exactly symmetric by construction.  The points are taken to be on the
-    unit sphere (callers check once with require_unit).  The reports come
-    in the order of degrees.
+    The same matrices as kernel_matrix, from one recurrence pass up to hi:
+    each is tested as the pass produces it and then dropped, and it goes
+    to is_psd as it is, with no symmetric copy, since it is exactly
+    symmetric by construction.  The points are taken to be on the unit
+    sphere (callers check once with require_unit).
     """
     _check_level(points.n, m)
-    degrees = list(degrees)
-    if any(k < 0 for k in degrees):
-        raise ValueError("degrees must be >= 0")
-    if not degrees:
-        return []
     u = project(points, m)
     d, e = _kernel_args(points.coords @ points.coords.T, u, u)
-    lo, wanted = min(degrees), set(degrees)
-    values = _homogeneous_upto(points.n - m, max(degrees), d, e, lo)
-    reports = {k: symlin.is_psd(h, tol) for k, h in enumerate(values, lo) if k in wanted}
-    return [reports[k] for k in degrees]
+    return [symlin.is_psd(h) for h in _homogeneous_upto(points.n - m, hi, d, e, lo)]
 
 
 def bv_matrices(

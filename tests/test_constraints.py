@@ -147,6 +147,10 @@ class TestEuclidKernel:
         k0 = euclid_kernel(pts, 0, 0).array
         assert k0[0, 0] == 1.0
 
+    def test_negative_degree_is_value_error(self):
+        with pytest.raises(ValueError, match="degrees"):
+            euclid_kernel(sample_sphere(4, 3, seed=26), 1, -1)
+
 
 class TestHMap:
     def test_degree_one_is_identity_map(self):
@@ -178,3 +182,8 @@ class TestHMap:
         b = rng.standard_normal((5, 5))
         with pytest.raises(ValueError, match="rank"):
             h_map(SymmetricMatrix(b @ b.T, check=False), 2, 2)
+
+    def test_negative_degree_is_value_error(self):
+        b = rng_for(27, 0).standard_normal((4, 3))
+        with pytest.raises(ValueError, match="degrees"):
+            h_map(SymmetricMatrix(b @ b.T, check=False), 3, -1)

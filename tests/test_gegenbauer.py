@@ -175,6 +175,14 @@ class TestHomogeneousUpto:
         assert len({id(h) for h in values}) == 7
         assert not any(np.shares_memory(h, d) for h in values)
 
+    @pytest.mark.parametrize("k,lo", [(-1, 0), (2, 3), (2, -1)])
+    def test_degrees_out_of_order_are_value_errors(self, k, lo):
+        with pytest.raises(ValueError, match="degrees"):
+            list(gg._homogeneous_upto(5, k, 0.3, 0.5, lo))
+        if lo == 0:
+            with pytest.raises(ValueError, match="degrees"):
+                gg._homogeneous(5, k, 0.3, 0.5)
+
 
 class TestEvalMv:
     def test_level_zero_reduces_to_1d(self):

@@ -89,21 +89,23 @@ class TestKernelMatrix:
 
 
 class TestKernelPsdReports:
-    @pytest.mark.parametrize("n,m,degrees", [(4, 0, [0, 1, 2, 3]), (5, 2, [7, 3, 3, 9]),
-                                             (3, 1, [30]), (6, 4, [12, 0])])
-    def test_equals_is_psd_of_each_kernel_matrix(self, n, m, degrees):
+    @pytest.mark.parametrize("n,m,lo,hi", [(4, 0, 0, 3), (5, 2, 3, 9), (3, 1, 30, 30),
+                                           (6, 4, 0, 12)])
+    def test_equals_is_psd_of_each_kernel_matrix(self, n, m, lo, hi):
         pts = sample_sphere(n, 20, seed=n * 10 + m)
-        got = spherical.kernel_psd_reports(pts, m, degrees)
-        want = [symlin.is_psd(spherical.kernel_matrix(pts, m, k).base) for k in degrees]
+        got = spherical.kernel_psd_reports(pts, m, lo, hi)
+        want = [symlin.is_psd(spherical.kernel_matrix(pts, m, k).base)
+                for k in range(lo, hi + 1)]
         assert got == want
 
     def test_guards(self):
         pts = sample_sphere(4, 5, seed=11)
-        assert spherical.kernel_psd_reports(pts, 1, []) == []
         with pytest.raises(ValueError):
-            spherical.kernel_psd_reports(pts, 3, [1])
+            spherical.kernel_psd_reports(pts, 3, 1, 1)
         with pytest.raises(ValueError):
-            spherical.kernel_psd_reports(pts, 0, [2, -1])
+            spherical.kernel_psd_reports(pts, 0, -1, 2)
+        with pytest.raises(ValueError):
+            spherical.kernel_psd_reports(pts, 0, 3, 2)
 
 
 class TestBvMatrices:
