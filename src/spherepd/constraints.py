@@ -18,8 +18,8 @@ import numpy as np
 
 from . import symlin
 from .gegenbauer import _homogeneous
-from .spherical import PointConfiguration, kernel_values
-from .symlin import PsdReport, SymmetricMatrix
+from .spherical import PointConfiguration, _psd_reports
+from .symlin import SymmetricMatrix
 
 __all__ = [
     "FeasiblePair",
@@ -74,6 +74,9 @@ def make_pair(t, u, n: int) -> FeasiblePair:
     if ua.shape != (r, n - 1):
         raise ValueError(f"U must have shape {(r, n - 1)}, got {ua.shape}")
     arr = tm.array
+    for name, a in (("T", arr), ("U", ua)):
+        if not np.all(np.isfinite(a)):  # NaN passes every comparison below
+            problems.append(f"entries of {name} must be finite")
     if np.max(np.abs(np.diag(arr) - 1.0)) > 1e-12:
         problems.append("diagonal of T must be 1")
     if np.max(np.abs(arr)) > 1.0 + 1e-12:
@@ -119,19 +122,12 @@ def augment(pair: FeasiblePair, m: int) -> AugmentedPair:
 def lambda_member(
     pair: FeasiblePair, m: int, d: int, tol: float = symlin.DEFAULT_TOL
 ) -> MembershipReport:
-    """Kernel-matrix positivity of the augmented pair for k = 1..d."""
+    """Kernel-matrix positivity of the augmented pair for k = 1..d, one pass."""
     if d < 1:
         raise ValueError("need d >= 1")
     aug = augment(pair, m)
-    x = aug.x.array
-    reports = {}
-    member = True
-    for k in range(1, d + 1):
-        vals = kernel_values(pair.n, m, k, x, aug.v, aug.v)
-        rep = symlin.is_psd(SymmetricMatrix(vals, check=False), tol)
-        reports[k] = rep
-        member = member and rep.is_psd
-    return MembershipReport(member, reports)
+    reports = dict(enumerate(_psd_reports(pair.n - m, aug.x.array, aug.v, 1, d, tol), 1))
+    return MembershipReport(all(rep.is_psd for rep in reports.values()), reports)
 
 
 def s_lambda_member(
@@ -158,7 +154,7 @@ def delta_member(pair: FeasiblePair, tol: float = symlin.DEFAULT_TOL) -> bool:
     coupling identity (t_ij - <u_i, u_j>)^2 = (1-|u_i|^2)(1-|u_j|^2)."""
     t = pair.t.array
     diff = t - pair.u @ pair.u.T
-    if not symlin.is_psd(SymmetricMatrix(diff, check=False), tol).is_psd:
+    if not symlin.is_psd(diff, tol).is_psd:
         return False
     slack = 1.0 - np.einsum("ij,ij->i", pair.u, pair.u)
     residual = diff**2 - np.outer(slack, slack)

@@ -144,15 +144,15 @@ def _kernel_args(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     return d, np.outer(au, av)
 
 
-def kernel_values(
-    n: int, m: int, k: int, t: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Vectorized multivariate Gegenbauer values for paired rows.
+def _psd_reports(nu: int, t: np.ndarray, u: np.ndarray, lo: int, hi: int, tol: float):
+    """symlin.is_psd of H_lo..H_hi at d = t - u u^T, e = (1-|u_i|^2)(1-|u_j|^2).
 
-    t has shape (r, r); u, v have shape (r, m); entry (i, j) is evaluated
-    at (t[i, j], u[i], v[j]).
+    One recurrence pass; each H_k is tested as the pass produces it and
+    then dropped.  It goes to is_psd as it is, with no symmetric copy:
+    for an exactly symmetric t it is exactly symmetric by construction.
     """
-    return _homogeneous(n - m, k, *_kernel_args(t, u, v))
+    d, e = _kernel_args(t, u, u)
+    return [symlin.is_psd(h, tol) for h in _homogeneous_upto(nu, hi, d, e, lo)]
 
 
 def _check_level(n: int, m: int) -> None:
@@ -169,23 +169,20 @@ def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
         raise ValueError("degree must be >= 0")
     u = project(points, m)
     t = points.coords @ points.coords.T
-    base = SymmetricMatrix(kernel_values(n, m, k, t, u, u), check=False)
+    base = SymmetricMatrix(_homogeneous(n - m, k, *_kernel_args(t, u, u)), check=False)
     return KernelMatrix(base=base, n=n, m=m, k=k, source=f"r={points.size}")
 
 
 def kernel_psd_reports(points: PointConfiguration, m: int, lo: int, hi: int) -> list[PsdReport]:
     """symlin.is_psd of the level-m kernel matrix at each degree lo..hi.
 
-    The same matrices as kernel_matrix, from one recurrence pass up to hi:
-    each is tested as the pass produces it and then dropped, and it goes
-    to is_psd as it is, with no symmetric copy, since it is exactly
-    symmetric by construction.  The points are taken to be on the unit
-    sphere (callers check once with require_unit).
+    The same matrices as kernel_matrix, from one recurrence pass up to hi
+    (_psd_reports).  The points are taken to be on the unit sphere
+    (callers check once with require_unit).
     """
     _check_level(points.n, m)
-    u = project(points, m)
-    d, e = _kernel_args(points.coords @ points.coords.T, u, u)
-    return [symlin.is_psd(h) for h in _homogeneous_upto(points.n - m, hi, d, e, lo)]
+    t = points.coords @ points.coords.T
+    return _psd_reports(points.n - m, t, project(points, m), lo, hi, symlin.DEFAULT_TOL)
 
 
 def bv_matrices(
@@ -236,16 +233,20 @@ def verify_corollary31(
     h_matrices[k] is the PSD matrix H_k defining the coefficient function
     f_k(u, v) = z_d(u) . H_k . z_d(v) (entries may be None for absent
     terms).  The assembled matrix sum_k (f_k(u_i, u_j)) o (kernel_k) must
-    come out PSD.
+    come out PSD.  Every degree's kernel comes from one recurrence pass;
+    total is mirrored, as z H z^T is not formed exactly symmetric.
     """
     points.require_unit()
     n = points.n
     _check_level(n, m)
     u = project(points, m)
     z = np.array([monomial_vector(row, d) for row in u])
+    h_matrices = list(h_matrices)
+    d_e = _kernel_args(points.coords @ points.coords.T, u, u)
+    kernels = _homogeneous_upto(n - m, len(h_matrices) - 1, *d_e) if h_matrices else ()
     bad = []
     total = np.zeros((points.size, points.size))
-    for k, h in enumerate(h_matrices):
+    for k, (h, b_k) in enumerate(zip(h_matrices, kernels)):
         if h is None:
             continue
         harr = h.array if isinstance(h, SymmetricMatrix) else np.asarray(h, float)
@@ -256,9 +257,7 @@ def verify_corollary31(
         if not symlin.is_psd(harr, tol).is_psd:
             bad.append(k)
             continue
-        a_k = z @ harr @ z.T
-        b_k = kernel_matrix(points, m, k).base.array
-        total += a_k * b_k
+        total += (z @ harr @ z.T) * b_k
     if bad:
         raise ValueError(f"coefficient matrices not PSD at degrees {bad}")
     return symlin.is_psd(SymmetricMatrix(total, check=False), tol)

@@ -41,7 +41,9 @@ class SymmetricMatrix:
             raise ValueError("dimension must be >= 1")
         if check:
             scale = max(np.max(np.abs(a)), 1.0)
-            if np.max(np.abs(a - a.T)) > 1e-10 * scale:
+            with np.errstate(invalid="ignore"):  # inf - inf: NaN, left to callers
+                asymmetry = np.max(np.abs(a - a.T))
+            if asymmetry > 1e-10 * scale:
                 raise ValueError("input matrix is not symmetric")
         upper = np.triu(a)
         self._array = upper + np.triu(a, 1).T

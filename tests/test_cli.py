@@ -205,6 +205,14 @@ class TestHierarchy:
     def test_missing_file(self, capsys):
         assert main(["hierarchy", "/nonexistent/pair.json"]) == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_nonfinite_pair_file(self, tmp_path, capsys, bad):
+        path = tmp_path / "pair.json"
+        path.write_text(f'{{"n": 3, "T": [[1, {bad}], [{bad}, 1]], "U": [[0, 0], [0, 0]]}}')
+        assert main(["hierarchy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read pair file" in err and "entries of T must be finite" in err
+
 
 class TestBound:
     def test_lp_config(self, tmp_path, capsys):

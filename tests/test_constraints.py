@@ -15,6 +15,7 @@ from spherepd.constraints import (
     reconstruct,
     s_lambda_member,
 )
+from spherepd.gegenbauer import _homogeneous
 from spherepd.randgen import rng_for
 from spherepd.spherical import PointConfiguration, sample_sphere
 from spherepd.symlin import SymmetricMatrix
@@ -42,6 +43,17 @@ class TestMakePair:
             make_pair(SymmetricMatrix(t), u, 4)
         assert "[-1, 1]" in str(err.value)
         assert "norm > 1" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_t_listed(self, bad):
+        # every other check is a comparison, which NaN passes silently
+        with pytest.raises(ValueError, match="entries of T must be finite"):
+            make_pair(SymmetricMatrix([[1.0, bad], [bad, 1.0]]), np.zeros((2, 2)), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_u_listed(self, bad):
+        with pytest.raises(ValueError, match="entries of U must be finite"):
+            make_pair(SymmetricMatrix(np.eye(2)), [[0.0, bad], [0.0, 0.0]], 3)
 
 
 class TestAugment:
@@ -102,6 +114,58 @@ class TestMembership:
             flags = [lambda_member(pair, m, d=3).member for m in range(3)]
             for lower, upper in zip(flags, flags[1:]):
                 assert lower or not upper
+
+
+def per_degree_lambda_reports(pair, m, d, tol):
+    """lambda_member's reports built one degree at a time, each matrix from
+    degree 0 and mirrored through SymmetricMatrix."""
+    aug = augment(pair, m)
+    args = spherical._kernel_args(aug.x.array, aug.v, aug.v)
+    return {
+        k: symlin.is_psd(SymmetricMatrix(_homogeneous(pair.n - m, k, *args), check=False), tol)
+        for k in range(1, d + 1)
+    }
+
+
+def perturbed_pair(n, r, seed):
+    """A realizable pair with T and U moved off the realizable set."""
+    pair = realizable_pair(n, r, seed)
+    rng = rng_for(seed, n, r, 1)
+    noise = rng.uniform(-0.2, 0.2, size=(r, r))
+    t = np.clip(pair.t.array + noise + noise.T, -1.0, 1.0)
+    np.fill_diagonal(t, 1.0)
+    u = pair.u * rng.uniform(0.3, 1.0, size=(r, 1))
+    return make_pair(SymmetricMatrix(t), u, n)
+
+
+def pair_with_unit_u_row(n, r, seed):
+    """A realizable pair whose first point is e_1, so e = 0 on its row at m >= 1."""
+    coords = sample_sphere(n, r, seed).coords.copy()
+    coords[0] = np.eye(n)[0]
+    return pair_from_points(PointConfiguration(n, coords))
+
+
+class TestLambdaMemberOnePass:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_equals_per_degree_construction(self, n):
+        verdicts = set()
+        for make in (realizable_pair, perturbed_pair, pair_with_unit_u_row):
+            pair = make(n, 6, seed=n)
+            for m in range(n - 1):
+                for d in range(1, 6):
+                    for tol in (symlin.DEFAULT_TOL, 1e-3):
+                        got = lambda_member(pair, m, d, tol)
+                        want = per_degree_lambda_reports(pair, m, d, tol)
+                        assert got.reports == want
+                        assert got.member == all(rep.is_psd for rep in want.values())
+                        verdicts.add(got.member)
+        assert verdicts == {True, False}
+
+    def test_unit_u_row_has_zero_e(self):
+        pair = pair_with_unit_u_row(5, 4, seed=2)
+        aug = augment(pair, 1)
+        e = spherical._kernel_args(aug.x.array, aug.v, aug.v)[1]
+        assert np.all(e[0] == 0.0)
 
 
 class TestReconstruct:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from spherepd import spherical, symlin
+from spherepd import constraints, spherical, symlin
+from spherepd.gegenbauer import monomial_exponents, monomial_vector
+from spherepd.randgen import rng_for
 from spherepd.spherical import PointConfiguration, named_code, sample_sphere
 
 
@@ -169,6 +171,80 @@ class TestVerifyExpansion:
         bad = -np.eye(size)
         with pytest.raises(ValueError, match="not PSD"):
             spherical.verify_corollary31(pts, 2, [bad], 1)
+
+
+def per_degree_corollary31(points, m, h_matrices, d, tol=symlin.DEFAULT_TOL):
+    """verify_corollary31 with one kernel_matrix call per present degree."""
+    u = spherical.project(points, m)
+    z = np.array([monomial_vector(row, d) for row in u])
+    total = np.zeros((points.size, points.size))
+    for k, h in enumerate(h_matrices):
+        if h is not None:
+            total += (z @ h @ z.T) * spherical.kernel_matrix(points, m, k).base.array
+    return symlin.is_psd(symlin.SymmetricMatrix(total, check=False), tol)
+
+
+class TestVerifyCorollary31OnePass:
+    @pytest.mark.parametrize("n,m,d", [(3, 1, 2), (3, 1, 1), (4, 2, 2), (5, 1, 3), (6, 3, 1),
+                                       (7, 2, 2)])
+    def test_equals_per_degree_kernel_matrices(self, n, m, d):
+        size = len(monomial_exponents(m, d))
+        rng = rng_for(n, m, d)
+        for trial in range(5):
+            pts = sample_sphere(n, 9, seed=100 * n + 10 * m + trial)
+            hs = []
+            for k in range(int(rng.integers(1, 7))):
+                b = rng.standard_normal((size, size))
+                hs.append(b @ b.T if rng.uniform() < 0.6 else None)
+            for tol in (symlin.DEFAULT_TOL, 1e-3):
+                assert spherical.verify_corollary31(pts, m, hs, d, tol) == \
+                    per_degree_corollary31(pts, m, hs, d, tol)
+
+    def test_trailing_and_only_none(self):
+        pts = sample_sphere(5, 7, seed=3)
+        h = np.eye(len(monomial_exponents(2, 1)))
+        for hs in ([None, h, None, None], [None], [h, None, None, h]):
+            assert spherical.verify_corollary31(pts, 2, hs, 1) == \
+                per_degree_corollary31(pts, 2, hs, 1)
+
+    def test_empty_list_is_zero_matrix(self):
+        pts = sample_sphere(4, 6, seed=4)
+        got = spherical.verify_corollary31(pts, 1, [], 2)
+        assert got == symlin.is_psd(np.zeros((6, 6)))
+        assert got.is_psd and got.min_eigenvalue == 0.0
+
+
+class TestOnePassPerLevel:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        his = []
+        upto = spherical._homogeneous_upto
+
+        def counting(nu, k, *args):
+            his.append(k)
+            return upto(nu, k, *args)
+
+        monkeypatch.setattr(spherical, "_homogeneous_upto", counting)
+        return his
+
+    def test_kernel_psd_reports(self, passes):
+        pts = sample_sphere(5, 8, seed=5)
+        for m in range(4):
+            spherical.kernel_psd_reports(pts, m, 2, 7)
+        assert passes == [7] * 4
+
+    def test_lambda_member(self, passes):
+        pair = constraints.pair_from_points(sample_sphere(6, 5, seed=1))
+        for m in range(5):
+            constraints.lambda_member(pair, m, 5)
+        assert passes == [5] * 5
+
+    def test_verify_corollary31(self, passes):
+        pts = sample_sphere(5, 8, seed=6)
+        h = np.eye(len(monomial_exponents(2, 1)))
+        spherical.verify_corollary31(pts, 2, [h, None, h, h], 1)
+        spherical.verify_corollary31(pts, 2, [], 1)
+        assert passes == [3]
 
 
 class TestProject:
