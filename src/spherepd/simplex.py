@@ -1,6 +1,10 @@
-"""Self-contained dense two-phase simplex solver.
+"""Self-contained dense two-phase revised simplex solver.
 
 Solves  min c.x  subject to  a_ub.x <= b_ub,  a_eq.x = b_eq,  x >= 0.
+The standard-form matrix is built once; each pivot keeps only the
+explicit basis inverse B^-1 and the basic values x_B.  Every column is
+priced with one product, (c_B B^-1) a - c, the entering column is
+B^-1 a_q, and the pivot is one rank-1 elimination on [B^-1 | x_B].
 Phase 1 drives artificial variables out of the basis when the slack
 basis is not feasible; phase 2 optimizes the original objective.
 Dantzig pricing with a switch to Bland's rule guards against cycling.
@@ -27,33 +31,28 @@ class LpResult:
     iterations: int
 
 
-def _pivot(tab: np.ndarray, z: np.ndarray, basis: np.ndarray, row: int, col: int):
-    piv = tab[row, col]
-    tab[row] /= piv
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
-    if z[col] != 0.0:
-        z -= z[col] * tab[row]
+def _pivot(bx: np.ndarray, d: np.ndarray, basis: np.ndarray, row: int, col: int):
+    """Column col enters at row; d = B^-1 a_col, bx = [B^-1 | x_B]."""
+    pivot_row = bx[row] / d[row]
+    bx -= np.outer(d, pivot_row)
+    bx[row] = pivot_row
     basis[row] = col
 
 
 def _iterate(
-    tab: np.ndarray,
-    z: np.ndarray,
+    a: np.ndarray,
+    cost: np.ndarray,
+    bx: np.ndarray,
     basis: np.ndarray,
     ncols: int,
     maxiter: int,
-    blocked=None,
 ) -> tuple[str, int]:
-    """Runs pivots until optimality; z holds reduced costs (z_j - c_j) and
-    the running objective in its last slot.  blocked columns never enter."""
+    """Runs pivots until optimality; only the first ncols columns may enter."""
     it = 0
-    bland_after = max(200, 10 * tab.shape[0])
+    bland_after = max(200, 10 * a.shape[0])
     while it < maxiter:
-        cand = z[:ncols].copy()
-        if blocked is not None:
-            cand[blocked] = -np.inf
+        cand = (cost[basis] @ bx[:, :-1]) @ a[:, :ncols] - cost[:ncols]  # z_j - c_j
+        cand[basis[basis < ncols]] = 0.0
         if it < bland_after:
             col = int(np.argmax(cand))
             if cand[col] <= _TOL:
@@ -63,16 +62,17 @@ def _iterate(
             if pos.size == 0:
                 return "optimal", it
             col = int(pos[0])
-        ratios = np.full(tab.shape[0], np.inf)
-        positive = tab[:, col] > _TOL
-        ratios[positive] = tab[positive, -1] / tab[positive, col]
+        d = bx[:, :-1] @ a[:, col]
+        ratios = np.full(a.shape[0], np.inf)
+        positive = d > _TOL
+        ratios[positive] = bx[positive, -1] / d[positive]
         row = int(np.argmin(ratios))
         if not np.isfinite(ratios[row]):
             return "unbounded", it
         if it >= bland_after:  # smallest basis index among ties
             tie = np.flatnonzero(np.isclose(ratios, ratios[row], rtol=0, atol=1e-12))
             row = int(tie[np.argmin(basis[tie])])
-        _pivot(tab, z, basis, row, col)
+        _pivot(bx, d, basis, row, col)
         it += 1
     return "iteration limit", it
 
@@ -98,68 +98,60 @@ def solve_lp(
             return LpResult("optimal", np.zeros(nvar), 0.0, np.zeros(0), np.zeros(0), 0)
         return LpResult("unbounded", None, None, None, None, 0)
 
-    # standard form: slack for every <= row, then sign-flip rows with b < 0
-    a = np.hstack([np.vstack([a_ub, a_eq]), np.vstack([np.eye(n_ub), np.zeros((n_eq, n_ub))])])
+    # standard form in one array: structural columns, a slack for every
+    # <= row, then artificials for every flipped <= row (its slack is now
+    # -1) and every eq row; rows with b < 0 are sign-flipped first
     b = np.concatenate([b_ub, b_eq])
     flipped = b < 0
-    a[flipped] *= -1.0
-    b[flipped] *= -1.0
-    nstruct = nvar + n_ub
-
-    # artificials: any flipped <= row (its slack is now -1) and every eq row
     need_art = np.concatenate([flipped[:n_ub], np.ones(n_eq, dtype=bool)])
     art_rows = np.flatnonzero(need_art)
-    nart = art_rows.size
-    art_block = np.zeros((nrows, nart))
-    art_block[art_rows, np.arange(nart)] = 1.0
+    nstruct = nvar + n_ub
+    ncols = nstruct + art_rows.size
+    a = np.zeros((nrows, ncols))
+    a[:n_ub, :nvar] = a_ub
+    a[n_ub:, :nvar] = a_eq
+    a[np.arange(n_ub), nvar + np.arange(n_ub)] = 1.0
+    a[flipped] *= -1.0
+    b[flipped] *= -1.0
+    a[art_rows, nstruct + np.arange(art_rows.size)] = 1.0
 
-    tab = np.hstack([a, art_block, b[:, None]])
-    ncols = nstruct + nart
     basis = np.empty(nrows, dtype=int)
     basis[~need_art] = nvar + np.flatnonzero(~need_art[:n_ub])  # clean slack rows
-    basis[art_rows] = nstruct + np.arange(nart)
+    basis[art_rows] = nstruct + np.arange(art_rows.size)
+    bx = np.zeros((nrows, nrows + 1))  # [B^-1 | x_B], B = I at the start
+    bx[:, :-1] = np.eye(nrows)
+    bx[:, -1] = b
 
     total_it = 0
-    if nart:
+    if art_rows.size:
         # phase 1: minimize the sum of artificials
         cost1 = np.zeros(ncols)
         cost1[nstruct:] = 1.0
-        z = np.concatenate([-cost1, [0.0]])
-        for i in art_rows:
-            z += np.concatenate([tab[i, :ncols], [tab[i, -1]]])
-        status, it = _iterate(tab, z, basis, ncols, maxiter)
+        status, it = _iterate(a, cost1, bx, basis, ncols, maxiter)
         total_it += it
         if status != "optimal":
             return LpResult(status, None, None, None, None, total_it)
-        if z[-1] > 1e-7 * max(1.0, np.max(np.abs(b)) if b.size else 1.0):
+        if cost1[basis] @ bx[:, -1] > 1e-7 * max(1.0, np.max(np.abs(b))):
             return LpResult("infeasible", None, None, None, None, total_it)
         # kick residual artificials out of the basis where possible
         for row in np.flatnonzero(basis >= nstruct):
-            cols = np.flatnonzero(np.abs(tab[row, :nstruct]) > _TOL)
+            cols = np.flatnonzero(np.abs(bx[row, :-1] @ a[:, :nstruct]) > _TOL)
             if cols.size:
-                _pivot(tab, z, basis, int(row), int(cols[0]))
+                _pivot(bx, bx[:, :-1] @ a[:, cols[0]], basis, int(row), int(cols[0]))
 
-    # phase 2
+    # phase 2: artificials never enter
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
-    zb = np.zeros(ncols + 1)
-    zb[:ncols] = -cost2
-    for row, bi in enumerate(basis):
-        if cost2[bi] != 0.0:
-            zb += cost2[bi] * np.concatenate([tab[row, :ncols], [tab[row, -1]]])
-    art_cols = np.arange(nstruct, ncols)
-    status, it = _iterate(tab, zb, basis, ncols, maxiter, blocked=art_cols)
+    status, it = _iterate(a, cost2, bx, basis, nstruct, maxiter)
     total_it += it
     if status != "optimal":
         return LpResult(status, None, None, None, None, total_it)
 
     x = np.zeros(ncols)
-    x[basis] = tab[:, -1]
-    # duals from the basis: solve B^T y = c_B on the unflipped system
-    full = np.hstack([a, art_block])
-    bmat = full[:, basis]
+    x[basis] = bx[:, -1]
+    # duals from the final basis: solve B^T y = c_B, then undo the row flips
     try:
-        y = np.linalg.solve(bmat.T, cost2[basis])
+        y = np.linalg.solve(a[:, basis].T, cost2[basis])
     except np.linalg.LinAlgError:
         y = np.full(nrows, np.nan)
     y[flipped] *= -1.0

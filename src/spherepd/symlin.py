@@ -40,10 +40,10 @@ class SymmetricMatrix:
         if a.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
         if check:
-            scale = max(np.max(np.abs(a)), 1.0)
-            with np.errstate(invalid="ignore"):  # inf - inf: NaN, left to callers
-                asymmetry = np.max(np.abs(a - a.T))
-            if asymmetry > 1e-10 * scale:
+            # equal infinities and mirrored NaNs count as symmetric and are
+            # left to callers; any other non-finite pair is not close
+            scale = np.max(np.abs(a), initial=1.0, where=np.isfinite(a))
+            if not np.isclose(a, a.T, rtol=0.0, atol=1e-10 * scale, equal_nan=True).all():
                 raise ValueError("input matrix is not symmetric")
         upper = np.triu(a)
         self._array = upper + np.triu(a, 1).T

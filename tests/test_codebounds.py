@@ -321,6 +321,34 @@ class TestDelsarteLp:
         assert cert.bound == pytest.approx(coeffs.sum() / exp[0], rel=1e-10)
 
 
+# the LP ops of the benchmark's `bounds` workload, all at grid 4096
+BOUNDS_LP_CONFIGS = (
+    (3, pi / 2, 6), (8, pi / 2, 6), (24, pi / 2, 9), (4, pi / 2, 12), (8, pi / 2, 16),
+    (3, pi / 3, 9), (8, pi / 3, 11), (24, pi / 3, 11),
+    (4, pi / 3, 16), (3, pi / 3, 16), (8, pi / 3, 16), (24, pi / 3, 16),
+)
+KISSING = {8: 240, 24: 196560}
+
+
+class TestDelsarteLpRegression:
+    @pytest.mark.parametrize(
+        "n, theta, degree",
+        BOUNDS_LP_CONFIGS,
+        ids=[f"n{n}-pi/{round(pi / t)}-deg{d}" for n, t, d in BOUNDS_LP_CONFIGS],
+    )
+    def test_bound(self, n, theta, degree):
+        cert = delsarte_lp(n, theta, degree, 4096)
+        assert delsarte_bound(cert.coefficients, n, theta) == pytest.approx(
+            cert.bound, rel=1e-12
+        )
+        if theta == pi / 2:
+            assert cert.bound == pytest.approx(2 * n, rel=1e-12)
+        elif degree == 11:
+            # the grid LP's distance to the kissing number, bound_rel_excess
+            known = KISSING[n]
+            assert 0.0 <= (cert.bound - known) / known <= 1.21e-5
+
+
 class TestTheorem61:
     def test_m0_matches_delsarte_bitwise(self):
         from spherepd.gegenbauer import gegenbauer_expansion

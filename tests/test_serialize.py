@@ -30,6 +30,10 @@ class TestMatrixFormats:
         back = serialize.matrix_from_csv(serialize.matrix_to_csv(self.m))
         assert np.array_equal(back.array, self.m.array)
 
+    def test_csv_rejects_nonfinite_asymmetric(self):
+        with pytest.raises(ValueError, match="input matrix is not symmetric"):
+            serialize.matrix_from_csv("1,inf\n-inf,1\n")
+
     def test_bad_upper_length(self):
         with pytest.raises(ValueError):
             serialize.matrix_from_json('{"dim": 3, "upper": [1, 2]}')

@@ -23,6 +23,22 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             SymmetricMatrix([[1.0, 2.0], [0.0, 3.0]])
 
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, np.inf], [-np.inf, 1.0]], [[1.0, np.nan], [0.0, 1.0]]]
+    )
+    def test_rejects_nonfinite_asymmetric(self, rows):
+        # a NaN or infinite gap must not pass the tolerance comparison
+        with pytest.raises(ValueError, match="input matrix is not symmetric"):
+            SymmetricMatrix(rows)
+
+    def test_tolerance_is_relative_to_largest_finite_entry(self):
+        SymmetricMatrix([[1e6, 1.0], [1.0 + 5e-5, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix([[1e6, 1.0], [1.0 + 2e-4, 1.0]])
+        # an infinite entry does not widen the tolerance for the others
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix([[np.inf, 1.0], [1.0 + 1e-6, 1.0]])
+
     def test_from_upper_roundtrip(self):
         m = SymmetricMatrix.from_upper(3, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         expected = np.array([[1.0, 2, 3], [2, 4, 5], [3, 5, 6]])
