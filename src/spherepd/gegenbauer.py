@@ -15,6 +15,7 @@ form (DLMF 18.18.8) in exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -376,31 +377,45 @@ def gegenbauer_expansion(poly_coeffs, n: int) -> np.ndarray:
 _MC_CHUNK = 1 << 16
 
 
-def _mc_chunk(rng: np.random.Generator, n: int, m: int, k: int, l: int, f, out) -> None:
-    """Write G_k * G_l (times f(u, v)) at len(out) uniform sphere pairs into out.
+def _mc_chunk(rng: np.random.Generator, n: int, m: int, k: int, l: int, f, size: int) -> np.ndarray:
+    """G_k * G_l (times f(u, v)) at size uniform sphere pairs drawn from rng.
 
-    The pairs stay unnormalized Gaussian rows gx, gy.  With sx = 1/|gx|^2
-    and sy = 1/|gy|^2, the kernel arguments are d = <gx[m:], gy[m:]>
-    sqrt(sx sy), which is t - <u,v> without cancellation, and
-    e = (1 - |gx[:m]|^2 sx)(1 - |gy[:m]|^2 sy).  The points u and v are
-    formed only for the weight.
+    The pairs stay unnormalized Gaussian rows gx, then gy.  With
+    sx = 1/|gx|^2 and sy = 1/|gy|^2, the kernel arguments are
+    d = <gx[m:], gy[m:]> sqrt(sx sy), which is t - <u,v> without
+    cancellation, and e = (1 - |gx[:m]|^2 sx)(1 - |gy[:m]|^2 sy), formed
+    in place with the same roundings as those expressions.  One recurrence
+    pass gives both G_k and G_l.  The points u and v are formed only for
+    the weight, which is taken before sx is overwritten.
     """
-    size = out.shape[0]
     gx = rng.standard_normal((size, n))
     gy = rng.standard_normal((size, n))
-    sx = 1.0 / np.einsum("ij,ij->i", gx, gx)
-    sy = 1.0 / np.einsum("ij,ij->i", gy, gy)
     ux, uy = gx[:, :m], gy[:, :m]
+    sx = np.einsum("ij,ij->i", gx, gx)
+    sy = np.einsum("ij,ij->i", gy, gy)
+    np.divide(1.0, sx, out=sx)
+    np.divide(1.0, sy, out=sy)
     d = np.einsum("ij,ij->i", gx[:, m:], gy[:, m:])
-    d *= np.sqrt(sx * sy)
-    e = 1.0 - np.einsum("ij,ij->i", ux, ux) * sx
-    e *= 1.0 - np.einsum("ij,ij->i", uy, uy) * sy
-    gk = _homogeneous(n - m, k, d, e)
-    np.multiply(gk, gk if k == l else _homogeneous(n - m, l, d, e), out=out)
+    e = np.einsum("ij,ij->i", ux, ux)
+    ey = np.einsum("ij,ij->i", uy, uy)
     if f is not None:
-        out *= np.asarray(
-            f(ux * np.sqrt(sx)[:, None], uy * np.sqrt(sy)[:, None]), dtype=float
-        )
+        weight = f(ux * np.sqrt(sx)[:, None], uy * np.sqrt(sy)[:, None])
+        weight = np.asarray(weight, dtype=float)
+    e *= sx
+    np.subtract(1.0, e, out=e)
+    ey *= sy
+    np.subtract(1.0, ey, out=ey)
+    e *= ey
+    sx *= sy
+    d *= np.sqrt(sx, out=sx)
+    del sx, sy, ey  # freed before the recurrence allocates its rows
+    degrees = _homogeneous_upto(n - m, max(k, l), d, e, min(k, l))
+    vals = next(degrees)
+    # the pass reads H_min(k,l) again, so it runs to the end before vals changes
+    vals *= vals if k == l else deque(degrees, maxlen=1)[0]
+    if f is not None:
+        vals *= weight
+    return vals
 
 
 def orthogonality_mc(
@@ -417,6 +432,19 @@ def orthogonality_mc(
     derive_seed(seed, n, m, k, l, i).  The chunks run in order on the
     calling thread, and a weight f is called once per chunk with that
     chunk's (rows, m) arrays u and v, so f must be vectorized.
+
+    No array of all samples is kept, so memory does not grow with samples.
+    Each chunk's values x give its count c, mean a = np.mean(x) and
+    M2 = (x - a) @ (x - a), and these are merged into the running
+    (count, mean, M2) in chunk order by the pairwise update of Chan,
+    Golub and LeVeque (1979): with delta = a - mean and C = count + c,
+
+        mean += delta * c / C,   M2 += M2_chunk + delta^2 * count * c / C.
+
+    The estimate is the final mean and the standard error
+    sqrt(M2 / (samples - 1)) / sqrt(samples).  Both agree with np.mean and
+    np.std(ddof=1) over all samples to rounding, not bit for bit, so a
+    printed z-score may move in its last digits.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -424,12 +452,18 @@ def orthogonality_mc(
         raise ValueError(f"level m={m} out of range [0, {n - 2}]")
     _check_nk(n - m, k)
     _check_nk(n - m, l)
-    vals = np.empty(samples)
+    count, mean, m2 = 0, 0.0, 0.0
     for i, lo in enumerate(range(0, samples, _MC_CHUNK)):
-        _mc_chunk(rng_for(seed, n, m, k, l, i), n, m, k, l, f, vals[lo : lo + _MC_CHUNK])
-    est = float(np.mean(vals))
-    err = float(np.std(vals, ddof=1) / np.sqrt(samples))
-    return OrthogonalityEstimate(est, err, samples)
+        size = min(_MC_CHUNK, samples - lo)
+        vals = _mc_chunk(rng_for(seed, n, m, k, l, i), n, m, k, l, f, size)
+        chunk_mean = float(np.mean(vals))
+        vals -= chunk_mean
+        total = count + size
+        delta = chunk_mean - mean
+        mean += delta * size / total
+        m2 += float(vals @ vals) + delta * delta * count * size / total
+        count = total
+    return OrthogonalityEstimate(mean, sqrt(m2 / (samples - 1)) / sqrt(samples), samples)
 
 
 def _ball_quadrature(m: int, p: float) -> tuple[np.ndarray, np.ndarray]:

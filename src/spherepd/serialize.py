@@ -47,7 +47,7 @@ def matrix_to_json(a) -> str:
 
 def matrix_from_json(text: str) -> SymmetricMatrix:
     obj = json.loads(text)
-    return SymmetricMatrix.from_upper(int(obj["dim"]), obj["upper"])
+    return _finite_matrix(SymmetricMatrix.from_upper(int(obj["dim"]), obj["upper"]))
 
 
 def matrix_to_csv(a) -> str:
@@ -56,7 +56,7 @@ def matrix_to_csv(a) -> str:
 
 
 def matrix_from_csv(text: str) -> SymmetricMatrix:
-    return SymmetricMatrix(_rows_from_csv(text))
+    return _finite_matrix(SymmetricMatrix(_rows_from_csv(text)))
 
 
 def points_to_json(points: PointConfiguration) -> str:
@@ -140,6 +140,13 @@ def certificate_to_json(cert: BoundCertificate) -> str:
             "expansion": list(cert.expansion),
         }
     )
+
+
+def _finite_matrix(m: SymmetricMatrix) -> SymmetricMatrix:
+    # json.loads reads NaN and Infinity, and float() reads "nan" and "inf"
+    if not np.isfinite(m.array).all():
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 def _rows_to_csv(arr: np.ndarray) -> str:

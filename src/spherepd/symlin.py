@@ -107,14 +107,26 @@ def _as_array(a) -> np.ndarray:
     return arr if np.array_equal(arr, arr.T) else 0.5 * (arr + arr.T)
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """arr itself, if all its entries are finite.
+
+    LAPACK does not reliably propagate NaN: for diag(-1, NaN) eigvalsh
+    returns [0, -0], which would pass as PSD.
+    """
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    return arr
+
+
 def eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and matching orthonormal eigenvectors.
 
     Returns (w, V) with V[:, i] the unit eigenvector for w[i].  Vector
     signs are fixed so the largest-magnitude component is positive,
-    which keeps downstream factorizations deterministic.
+    which keeps downstream factorizations deterministic.  NaN or
+    infinite entries raise ValueError.
     """
-    w, v = np.linalg.eigh(_as_array(a))
+    w, v = np.linalg.eigh(_finite(_as_array(a)))
     cols = np.arange(v.shape[1])
     lead = v[np.argmax(np.abs(v), axis=0), cols]
     v[:, lead < 0] *= -1.0
@@ -122,8 +134,9 @@ def eigensystem(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(_as_array(a))
+    """All eigenvalues of a symmetric matrix, ascending; NaN or infinite
+    entries raise ValueError."""
+    return np.linalg.eigvalsh(_finite(_as_array(a)))
 
 
 def _report(w: np.ndarray, tol: float) -> PsdReport:

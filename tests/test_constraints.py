@@ -247,6 +247,12 @@ class TestHMap:
         with pytest.raises(ValueError, match="rank"):
             h_map(SymmetricMatrix(b @ b.T, check=False), 2, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entries_refused(self, bad):
+        for rows in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                h_map(SymmetricMatrix(rows, check=False), 3, 2)
+
     def test_negative_degree_is_value_error(self):
         b = rng_for(27, 0).standard_normal((4, 3))
         with pytest.raises(ValueError, match="degrees"):

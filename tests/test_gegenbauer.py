@@ -1,5 +1,6 @@
 """One-dimensional and multivariate Gegenbauer polynomials."""
 
+import tracemalloc
 from math import comb, gamma, pi, sqrt
 
 import numpy as np
@@ -498,17 +499,76 @@ class TestOrthogonality:
         est = gg.orthogonality_mc(5, 1, 1, 2, samples=200_000, seed=3)
         assert abs(est.estimate) < 4 * est.stderr
 
+    @staticmethod
+    def hand_chunks(n, m, k, l, seed, samples):
+        # chunk i drawn from its own stream rng_for(seed, n, m, k, l, i)
+        sizes = [min(gg._MC_CHUNK, samples - lo) for lo in range(0, samples, gg._MC_CHUNK)]
+        return [
+            gg._mc_chunk(rng_for(seed, n, m, k, l, i), n, m, k, l, None, size)
+            for i, size in enumerate(sizes)
+        ]
+
     def test_monte_carlo_chunk_streams(self):
-        # 150 000 samples: two full 2^16 chunks and a short third one, chunk
-        # i drawn from its own stream rng_for(seed, n, m, k, l, i)
+        # 150 000 samples: two full 2^16 chunks and a short third one, each
+        # chunk's (count, mean, M2) merged in order by the documented rule
         n, m, k, l, seed, samples = 5, 1, 1, 2, 3, 150_000
-        vals = np.empty(samples)
-        for i, lo in enumerate(range(0, samples, gg._MC_CHUNK)):
-            chunk = vals[lo : lo + gg._MC_CHUNK]
-            gg._mc_chunk(rng_for(seed, n, m, k, l, i), n, m, k, l, None, chunk)
+        count, mean, m2 = 0, 0.0, 0.0
+        for x in self.hand_chunks(n, m, k, l, seed, samples):
+            a = float(np.mean(x))
+            total = count + len(x)
+            delta = a - mean
+            mean += delta * len(x) / total
+            m2 += float((x - a) @ (x - a)) + delta * delta * count * len(x) / total
+            count = total
         est = gg.orthogonality_mc(n, m, k, l, samples=samples, seed=seed)
-        assert est.estimate == float(np.mean(vals))
-        assert est.stderr == float(np.std(vals, ddof=1) / np.sqrt(samples))
+        assert est.estimate == mean
+        assert est.stderr == sqrt(m2 / (samples - 1)) / sqrt(samples)
+
+    @pytest.mark.parametrize("n,m,k,l", [(5, 1, 1, 2), (4, 0, 3, 3), (5, 3, 2, 4)])
+    def test_monte_carlo_moments_match_all_samples(self, n, m, k, l):
+        # the merged moments against np.mean and np.std over every value
+        seed, samples = 3, 200_000
+        x = np.concatenate(self.hand_chunks(n, m, k, l, seed, samples))
+        est = gg.orthogonality_mc(n, m, k, l, samples=samples, seed=seed)
+        assert est.estimate == pytest.approx(float(np.mean(x)), rel=1e-14, abs=0)
+        expected = float(np.std(x, ddof=1) / np.sqrt(samples))
+        assert est.stderr == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_monte_carlo_memory_independent_of_samples(self):
+        # only one chunk is live at a time; an array of every value would
+        # add 8 B per sample, 7 MB over these 7 * 2^17 extra samples
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                gg.orthogonality_mc(5, 1, 1, 2, samples=samples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(1 << 17)
+        assert peak(1 << 20) - small < 1 << 20
+
+    @pytest.mark.parametrize(
+        "n,m,k,l", [(5, 1, 1, 2), (5, 3, 2, 4), (4, 0, 3, 3), (6, 1, 7, 0), (5, 2, 0, 0)]
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_monte_carlo_chunk_bit_identical_to_two_passes(self, n, m, k, l, weighted):
+        # the in-place forms and the shared recurrence pass change no value:
+        # out-of-place d and e, and one _homogeneous call per degree
+        f = (lambda u, v: 1.0 + 0.5 * u[:, 0] * v[:, 0]) if weighted and m else None
+        rng = rng_for(9, n, m, k, l, 2)
+        gx = rng.standard_normal((1234, n))
+        gy = rng.standard_normal((1234, n))
+        sx = 1.0 / np.einsum("ij,ij->i", gx, gx)
+        sy = 1.0 / np.einsum("ij,ij->i", gy, gy)
+        ux, uy = gx[:, :m], gy[:, :m]
+        d = np.einsum("ij,ij->i", gx[:, m:], gy[:, m:]) * np.sqrt(sx * sy)
+        e = (1.0 - np.einsum("ij,ij->i", ux, ux) * sx) * (1.0 - np.einsum("ij,ij->i", uy, uy) * sy)
+        expected = gg._homogeneous(n - m, k, d, e) * gg._homogeneous(n - m, l, d, e)
+        if f is not None:
+            expected *= f(ux * np.sqrt(sx)[:, None], uy * np.sqrt(sy)[:, None])
+        got = gg._mc_chunk(rng_for(9, n, m, k, l, 2), n, m, k, l, f, 1234)
+        assert np.array_equal(got, expected)
 
     def test_monte_carlo_weight_sees_chunks_in_order(self):
         calls = []

@@ -34,6 +34,20 @@ class TestMatrixFormats:
         with pytest.raises(ValueError, match="input matrix is not symmetric"):
             serialize.matrix_from_csv("1,inf\n-inf,1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dim": 2, "upper": [1, NaN, 1]}', '{"dim": 2, "upper": [Infinity, 0, 1]}',
+         '{"dim": 2, "upper": [1, 0, -Infinity]}'],
+    )
+    def test_json_rejects_nonfinite(self, text):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            serialize.matrix_from_json(text)
+
+    @pytest.mark.parametrize("text", ["1,inf\ninf,1\n", "nan,0\n0,1\n", "1,0\n0,-inf\n"])
+    def test_csv_rejects_nonfinite(self, text):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            serialize.matrix_from_csv(text)
+
     def test_bad_upper_length(self):
         with pytest.raises(ValueError):
             serialize.matrix_from_json('{"dim": 3, "upper": [1, 2]}')

@@ -121,6 +121,29 @@ class TestIsPsd:
         assert np.array_equal(skew, [[1.0, 3.0], [-3.0, 1.0]])
 
 
+NONFINITE = [
+    [[-1.0, 0.0], [0.0, np.nan]],  # LAPACK gives eigenvalues [0, -0] for this one
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -np.inf]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, -np.inf], [-np.inf, 1.0]],
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("rows", NONFINITE)
+    @pytest.mark.parametrize(
+        "fn",
+        [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize],
+    )
+    def test_refused(self, rows, fn):
+        for a in (np.array(rows), SymmetricMatrix(rows, check=False)):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                fn(a)
+
+
 class TestRealize:
     def test_gram_of_realize_roundtrip(self):
         rng = rng_for(2, 5)
