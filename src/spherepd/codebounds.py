@@ -52,6 +52,8 @@ __all__ = [
 MAX_PATTERN_D = 12
 BRUTE_LIMIT = 10_000_000
 FLOAT_INT_LIMIT = 2**53  # every integer up to here is exact as a float
+# greedy_code stops after this many candidates in a row are rejected
+_GREEDY_MAX_REJECTS = 200
 
 
 class CertificateError(ValueError):
@@ -132,10 +134,7 @@ def q_omega(omega: PartitionPattern, big_n: int) -> int:
     """
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    falling = 1
-    for i in range(1, omega.blocks):  # falling factorial / N
-        falling *= big_n - i
-    return _arrangements(omega) * falling
+    return _horner(_q_poly(omega), big_n)
 
 
 def _q_poly(omega: PartitionPattern) -> list[int]:
@@ -399,7 +398,9 @@ def delsarte_lp(
     [-1, cos theta]) is solved through its dual with the self-contained
     two-phase revised simplex; the certificate is then re-verified on the
     continuous interval, shrinking the constant term by any detected grid
-    overshoot before the ratio is reported.
+    overshoot before the ratio is reported.  When no degree-bounded
+    certificate exists on the grid, the dual is unbounded and this raises
+    ValueError.
     """
     _check_theta(theta)
     if n < 2:
@@ -420,6 +421,11 @@ def delsarte_lp(
         a_ub=-gvals,
         b_ub=np.ones(degree),
     )
+    if res.status == "unbounded":  # no f >= 0 with f(t) <= -1 on the grid
+        raise ValueError(
+            f"no degree-{degree} certificate at theta={theta}: no polynomial with"
+            " f_0 = 1 and f_k >= 0 is <= 0 on the grid"
+        )
     if res.status != "optimal":
         raise RuntimeError(f"discretized program not solved: {res.status}")
     f_rest = np.maximum(-res.duals_ub, 0.0)
@@ -635,7 +641,7 @@ def code_audit(points: PointConfiguration, theta: float) -> bool:
     return points.max_inner_product() <= cos(theta) + 1e-12
 
 
-def greedy_code(n: int, theta: float, seed: int, max_rejects: int = 200) -> PointConfiguration:
+def greedy_code(n: int, theta: float, seed: int) -> PointConfiguration:
     """A reproducible (non-optimal) code built by greedy rejection packing.
 
     n < 1 and theta outside (0, pi), NaN included, raise ValueError: at
@@ -650,7 +656,7 @@ def greedy_code(n: int, theta: float, seed: int, max_rejects: int = 200) -> Poin
     rng = rng_for(seed, n)
     accepted: list[np.ndarray] = []
     rejects = 0
-    while rejects < max_rejects:
+    while rejects < _GREEDY_MAX_REJECTS:
         p = rng.standard_normal(n)
         p /= np.linalg.norm(p)
         if all(q @ p <= c for q in accepted):

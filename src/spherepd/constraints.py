@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from . import symlin
-from .gegenbauer import _homogeneous
+from .gegenbauer import _check_level, _homogeneous, _kernel_args
 from .spherical import PointConfiguration, _psd_reports
 from .symlin import SymmetricMatrix
 
@@ -106,8 +106,7 @@ def augment(pair: FeasiblePair, m: int) -> AugmentedPair:
     basis vectors is zero (they are orthogonal to e_1..e_m).
     """
     n, r = pair.n, pair.r
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
     extra = n - m - 1
     size = r + extra
     x = np.eye(size)
@@ -135,8 +134,7 @@ def s_lambda_member(
 ) -> bool:
     """Level-m membership for every choice of m basis vectors out of n-1."""
     n = pair.n
-    if m < 1 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [1, {n - 2}]")
+    _check_level(n, m, 1)
     if comb(n - 1, m) > SUBSET_GUARD:
         raise ValueError(f"too many basis choices: C({n - 1}, {m}) > {SUBSET_GUARD}")
     cols = range(n - 1)
@@ -152,13 +150,10 @@ def s_lambda_member(
 def delta_member(pair: FeasiblePair, tol: float = symlin.DEFAULT_TOL) -> bool:
     """Membership in the realizable set: T - U U^T PSD and the quadratic
     coupling identity (t_ij - <u_i, u_j>)^2 = (1-|u_i|^2)(1-|u_j|^2)."""
-    t = pair.t.array
-    diff = t - pair.u @ pair.u.T
+    diff, e = _kernel_args(pair.t.array, pair.u)
     if not symlin.is_psd(diff, tol).is_psd:
         return False
-    slack = 1.0 - np.einsum("ij,ij->i", pair.u, pair.u)
-    residual = diff**2 - np.outer(slack, slack)
-    return bool(np.max(np.abs(residual)) <= IDENTITY_TOL)
+    return bool(np.max(np.abs(diff**2 - e)) <= IDENTITY_TOL)
 
 
 def reconstruct(
@@ -197,15 +192,10 @@ def euclid_kernel(points: PointConfiguration, m: int, k: int) -> SymmetricMatrix
     contributes entry 0 for k >= 1 and 1 for k = 0 (the continuous limit).
     """
     n = points.n
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
-    coords = points.coords
-    u = coords[:, :m]
-    t = coords @ coords.T
-    d = t - u @ u.T
-    slack = np.einsum("ij,ij->i", coords, coords) - np.einsum("ij,ij->i", u, u)
-    e = np.outer(slack, slack)
-    return SymmetricMatrix(_homogeneous(n - m, k, d, e), check=False)
+    _check_level(n, m)
+    c = points.coords
+    d_e = _kernel_args(c @ c.T, c[:, :m], np.einsum("ij,ij->i", c, c))
+    return SymmetricMatrix(_homogeneous(n - m, k, *d_e), check=False)
 
 
 def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix:

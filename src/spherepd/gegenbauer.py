@@ -80,6 +80,12 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"degree must be >= 0, got {k}")
 
 
+def _check_level(n: int, m: int, lo: int = 0) -> None:
+    """Refuse a level m outside lo..n-2, the range of every level-m kernel."""
+    if not lo <= m <= n - 2:
+        raise ValueError(f"level m={m} out of range [{lo}, {n - 2}]")
+
+
 def eval_1d(n: int, k: int, t):
     """G_k for dimension parameter n at t (scalar or array), by recurrence."""
     _check_nk(n, k)
@@ -151,6 +157,17 @@ def _homogeneous(nu: int, k: int, d, e):
     return next(_homogeneous_upto(nu, k, d, e, k))
 
 
+def _kernel_args(t: np.ndarray, u: np.ndarray, sq=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence arguments of a kernel matrix: d = t - u u^T and
+    e = (sq_i - |u_i|^2)(sq_j - |u_j|^2).
+
+    Row i of u is a point's level-m prefix and sq its squared norm, a
+    scalar or one per point (1 on the sphere); t is the Gram matrix.
+    """
+    a = sq - np.einsum("ij,ij->i", u, u)
+    return t - u @ u.T, np.outer(a, a)
+
+
 def _uv_arrays(u, v, m: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -166,8 +183,7 @@ def eval_mv(n: int, m: int, k: int, t, u=(), v=()):
     float) or stacks of shape (..., m), against which t broadcasts; the
     array then equals the row-by-row calls bit for bit.
     """
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
     _check_nk(n - m, k)
     u, v = _uv_arrays(u, v, m)
     d = t - (u * v).sum(-1)
@@ -304,8 +320,7 @@ def addition_term(u, n: int, m: int, k: int, s: int):
     gives a float, a stack of shape (..., m) an array that equals the
     row-by-row calls bit for bit.
     """
-    if not 1 <= m <= n - 2:
-        raise ValueError(f"level m={m} out of range [1, {n - 2}]")
+    _check_level(n, m, 1)
     if not 0 <= s <= k:
         raise ValueError(f"index s={s} out of range [0, {k}]")
     u = np.asarray(u, dtype=float)
@@ -350,8 +365,7 @@ def expand_in_t(coeff_fns, n: int, m: int):
     e^(k/2) G_k^{(n-m)}(s / sqrt(e)), e = (1-|u|^2)(1-|v|^2): O(K^2)
     operations, exact at e = 0.
     """
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
 
     def expansion(u, v) -> np.ndarray:
         u_, v_ = _uv_arrays(u, v, m)
@@ -448,8 +462,7 @@ def orthogonality_mc(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
     _check_nk(n - m, k)
     _check_nk(n - m, l)
     count, mean, m2 = 0, 0.0, 0.0
@@ -515,10 +528,9 @@ def orthogonality_quad(n: int, m: int, k: int, l: int, q=None) -> float:
     (1-|x|^2)^p and Q_ij = q(x_i, x_j), exact for q polynomial of degree
     up to 31 in each of u and v, whether p is an integer or not.
     """
-    if m < 0 or m > 2:
+    if m > 2:
         raise ValueError("deterministic quadrature supports m <= 2 only")
-    if m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
+    _check_level(n, m)
     nm = n - m
     phi, wphi = _gauss_legendre(max(32, k + l + 8), 0.0, np.pi)
     s = np.cos(phi)  # (1-s^2)^((n-m-3)/2) ds = sin(phi)^(n-m-2) dphi
@@ -547,8 +559,7 @@ def addition_residual(n: int, m: int, k: int, samples: int = 100, seed: int = 0)
     of u, then of v, of norm >= 1; then t.  eval_mv and addition_term each
     run once per term on the whole stack.
     """
-    if not 1 <= m <= n - 2:
-        raise ValueError(f"level m={m} out of range [1, {n - 2}]")
+    _check_level(n, m, 1)
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     rng = rng_for(seed, n, m, k)

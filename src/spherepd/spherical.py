@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symlin
-from .gegenbauer import _homogeneous, _homogeneous_upto, monomial_vector
+from .gegenbauer import _check_level, _homogeneous, _homogeneous_upto, _kernel_args, monomial_vector
 from .randgen import rng_for
 from .symlin import PsdReport, SymmetricMatrix
 
@@ -136,14 +136,6 @@ def project(points: PointConfiguration, m: int) -> np.ndarray:
     return points.coords[:, :m]
 
 
-def _kernel_args(t: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The recurrence arguments d = t - <u_i, v_j> and e = (1-|u_i|^2)(1-|v_j|^2)."""
-    d = t - u @ v.T
-    au = 1.0 - np.einsum("ij,ij->i", u, u)
-    av = 1.0 - np.einsum("ij,ij->i", v, v)
-    return d, np.outer(au, av)
-
-
 def _psd_reports(nu: int, t: np.ndarray, u: np.ndarray, lo: int, hi: int, tol: float):
     """symlin.is_psd of H_lo..H_hi at d = t - u u^T, e = (1-|u_i|^2)(1-|u_j|^2).
 
@@ -151,13 +143,8 @@ def _psd_reports(nu: int, t: np.ndarray, u: np.ndarray, lo: int, hi: int, tol: f
     then dropped.  It goes to is_psd as it is, with no symmetric copy:
     for an exactly symmetric t it is exactly symmetric by construction.
     """
-    d, e = _kernel_args(t, u, u)
+    d, e = _kernel_args(t, u)
     return [symlin.is_psd(h, tol) for h in _homogeneous_upto(nu, hi, d, e, lo)]
-
-
-def _check_level(n: int, m: int) -> None:
-    if m < 0 or m > n - 2:
-        raise ValueError(f"level m={m} out of range [0, {n - 2}]")
 
 
 def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
@@ -169,7 +156,7 @@ def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
         raise ValueError("degree must be >= 0")
     u = project(points, m)
     t = points.coords @ points.coords.T
-    base = SymmetricMatrix(_homogeneous(n - m, k, *_kernel_args(t, u, u)), check=False)
+    base = SymmetricMatrix(_homogeneous(n - m, k, *_kernel_args(t, u)), check=False)
     return KernelMatrix(base=base, n=n, m=m, k=k, source=f"r={points.size}")
 
 
@@ -210,9 +197,7 @@ def bv_matrices(
     total = np.zeros((d + 1, d + 1))
     for l in range(points.size):
         tl = t[:, l]
-        dmat = t - np.outer(tl, tl)
-        e = np.outer(1.0 - tl**2, 1.0 - tl**2)
-        a_l = _homogeneous(n - 1, k, dmat, e)
+        a_l = _homogeneous(n - 1, k, *_kernel_args(t, tl[:, None]))
         w = weights[:, None] * np.vstack(list(_homogeneous_upto(n + 2 * k, d, tl, 1.0)))
         y = w @ a_l @ w.T
         y = 0.5 * (y + y.T)
@@ -242,7 +227,7 @@ def verify_corollary31(
     u = project(points, m)
     z = np.array([monomial_vector(row, d) for row in u])
     h_matrices = list(h_matrices)
-    d_e = _kernel_args(points.coords @ points.coords.T, u, u)
+    d_e = _kernel_args(points.coords @ points.coords.T, u)
     kernels = _homogeneous_upto(n - m, len(h_matrices) - 1, *d_e) if h_matrices else ()
     bad = []
     total = np.zeros((points.size, points.size))

@@ -57,7 +57,7 @@ class SymmetricMatrix:
             raise ValueError("upper triangle has wrong length")
         a = np.zeros((dim, dim))
         a[np.triu_indices(dim)] = upper
-        return cls(a + np.triu(a, 1).T, check=False)
+        return cls(a, check=False)  # the constructor mirrors the upper triangle
 
     @property
     def dim(self) -> int:

@@ -268,6 +268,15 @@ class TestBound:
         path.write_text("{broken")
         assert main(["bound", str(path)]) == 2
 
+    def test_lp_without_certificate_exits_2(self, tmp_path, capsys):
+        # no degree-2 polynomial with f_0 = 1 and f_k >= 0 is <= 0 on [-1, 1/2]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3, "theta": "pi/3", "degree": 2}))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no degree-2 certificate at theta=1.047")
+
     @pytest.mark.parametrize(
         "change",
         [

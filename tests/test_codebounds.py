@@ -257,6 +257,13 @@ class TestDelsarteBound:
         assert not isinstance(info.value, CertificateError)
 
 
+def test_lp_without_certificate_is_value_error():
+    # the dual LP is unbounded: no certificate of this degree exists on the grid
+    with pytest.raises(ValueError, match="no degree-2 certificate at theta=") as info:
+        delsarte_lp(3, pi / 3, degree=2, grid_size=512)
+    assert not isinstance(info.value, CertificateError)
+
+
 class TestAngleRange:
     """The LP bound, the certificate check and the audit take theta in (0, pi]."""
 

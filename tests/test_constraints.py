@@ -120,7 +120,7 @@ def per_degree_lambda_reports(pair, m, d, tol):
     """lambda_member's reports built one degree at a time, each matrix from
     degree 0 and mirrored through SymmetricMatrix."""
     aug = augment(pair, m)
-    args = spherical._kernel_args(aug.x.array, aug.v, aug.v)
+    args = spherical._kernel_args(aug.x.array, aug.v)
     return {
         k: symlin.is_psd(SymmetricMatrix(_homogeneous(pair.n - m, k, *args), check=False), tol)
         for k in range(1, d + 1)
@@ -164,7 +164,7 @@ class TestLambdaMemberOnePass:
     def test_unit_u_row_has_zero_e(self):
         pair = pair_with_unit_u_row(5, 4, seed=2)
         aug = augment(pair, 1)
-        e = spherical._kernel_args(aug.x.array, aug.v, aug.v)[1]
+        e = spherical._kernel_args(aug.x.array, aug.v)[1]
         assert np.all(e[0] == 0.0)
 
 
@@ -214,6 +214,34 @@ class TestEuclidKernel:
     def test_negative_degree_is_value_error(self):
         with pytest.raises(ValueError, match="degrees"):
             euclid_kernel(sample_sphere(4, 3, seed=26), 1, -1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_equals_inline_formula(self, m):
+        rng = rng_for(27, m)
+        coords = rng.standard_normal((7, 4)) * rng.uniform(0.0, 2.0, size=(7, 1))
+        coords[0] = 0.0
+        u = coords[:, :m]
+        d = coords @ coords.T - u @ u.T
+        slack = np.einsum("ij,ij->i", coords, coords) - np.einsum("ij,ij->i", u, u)
+        e = np.outer(slack, slack)
+        for k in range(5):
+            got = euclid_kernel(PointConfiguration(4, coords), m, k).array
+            assert got.tobytes() == _homogeneous(4 - m, k, d, e).tobytes()
+
+
+class TestDeltaMember:
+    @pytest.mark.parametrize("make", [realizable_pair, perturbed_pair, pair_with_unit_u_row])
+    def test_equals_inline_formula(self, make):
+        pair = make(5, 6, seed=28)
+        t, u = pair.t.array, pair.u
+        diff = t - u @ u.T
+        slack = 1.0 - np.einsum("ij,ij->i", u, u)
+        residual = diff**2 - np.outer(slack, slack)
+        got_diff, got_e = spherical._kernel_args(t, u)
+        assert got_diff.tobytes() == diff.tobytes()
+        assert (got_diff**2 - got_e).tobytes() == residual.tobytes()
+        want = symlin.is_psd(diff).is_psd and np.max(np.abs(residual)) <= constraints.IDENTITY_TOL
+        assert delta_member(pair) == want
 
 
 class TestHMap:

@@ -600,3 +600,37 @@ class TestOrthogonality:
     def test_monte_carlo_rejects_tiny_samples(self):
         with pytest.raises(ValueError):
             gg.orthogonality_mc(5, 1, 1, 2, samples=10)
+
+
+
+def _level_checked_calls():
+    """Lowest level and a call of m for every public function that takes a level."""
+    from spherepd import constraints, spherical
+
+    pts = spherical.sample_sphere(3, 4, 0)
+    pair = constraints.pair_from_points(pts)
+    calls = {
+        "eval_mv": (0, lambda m: gg.eval_mv(3, m, 1, 0.5)),
+        "expand_in_t": (0, lambda m: gg.expand_in_t([lambda u, v: 1.0], 3, m)),
+        "orthogonality_mc": (0, lambda m: gg.orthogonality_mc(3, m, 1, 1, samples=1000)),
+        "orthogonality_quad": (0, lambda m: gg.orthogonality_quad(3, m, 1, 1)),
+        "addition_term": (1, lambda m: gg.addition_term(np.zeros(max(m, 0)), 3, m, 1, 0)),
+        "addition_residual": (1, lambda m: gg.addition_residual(3, m, 1)),
+        "kernel_matrix": (0, lambda m: spherical.kernel_matrix(pts, m, 1)),
+        "kernel_psd_reports": (0, lambda m: spherical.kernel_psd_reports(pts, m, 1, 2)),
+        "verify_corollary31": (0, lambda m: spherical.verify_corollary31(pts, m, [], 1)),
+        "augment": (0, lambda m: constraints.augment(pair, m)),
+        "lambda_member": (0, lambda m: constraints.lambda_member(pair, m, 2)),
+        "s_lambda_member": (1, lambda m: constraints.s_lambda_member(pair, m, 2)),
+        "euclid_kernel": (0, lambda m: constraints.euclid_kernel(pts, m, 1)),
+    }
+    return [pytest.param(lo, call, id=name) for name, (lo, call) in calls.items()]
+
+
+@pytest.mark.parametrize("lo,call", _level_checked_calls())
+def test_level_out_of_range_has_shared_message(lo, call):
+    # n = 3: the valid levels are lo..1
+    for m in (lo - 1, 2):
+        with pytest.raises(ValueError) as info:
+            call(m)
+        assert str(info.value) == f"level m={m} out of range [{lo}, 1]"
