@@ -24,6 +24,7 @@ import numpy as np
 
 from . import codebounds, constraints, serialize, spherical
 from .gegenbauer import (
+    _check_level,
     addition_coefficients,
     addition_residual,
     orthogonality_mc,
@@ -127,8 +128,8 @@ def cmd_verify_psd(args) -> RunReport:
     n = args.n
     m_values = parse_range(args.m)
     k_values = parse_range(args.k)
-    if any(m < 0 or m > n - 2 for m in m_values):
-        raise UsageError(f"levels must lie in [0, {n - 2}] for n={n}")
+    for m in m_values:  # before any work, so --seeds 0 refuses a bad level too
+        _check_level(n, m)
     if any(k < 0 for k in k_values):
         raise UsageError("degrees must be >= 0")
     if args.seeds < 0:
@@ -160,8 +161,7 @@ def cmd_verify_psd(args) -> RunReport:
 
 def cmd_verify_orthogonality(args) -> RunReport:
     n, m, k, l = args.n, args.m_level, args.k_level, args.l
-    if m < 0 or m > n - 2:
-        raise UsageError(f"level must lie in [0, {n - 2}] for n={n}")
+    _check_level(n, m)
     report = _new_report(
         "verify-orthogonality",
         {"n": n, "m": m, "k": k, "l": l, "samples": args.samples},
@@ -189,8 +189,8 @@ def cmd_verify_orthogonality(args) -> RunReport:
 def cmd_verify_addition(args) -> RunReport:
     n, k = args.n, args.k_level
     m_values = parse_range(args.m)
-    if any(m < 1 or m > n - 2 for m in m_values):
-        raise UsageError(f"levels must lie in [1, {n - 2}] for n={n}")
+    for m in m_values:
+        _check_level(n, m, 1)
     report = _new_report(
         "verify-addition",
         {"n": n, "m": m_values, "k": k, "samples": args.samples},

@@ -400,7 +400,9 @@ def delsarte_lp(
     continuous interval, shrinking the constant term by any detected grid
     overshoot before the ratio is reported.  When no degree-bounded
     certificate exists on the grid, the dual is unbounded and this raises
-    ValueError.
+    ValueError; so it does when the simplex stops at its iteration limit,
+    or when the grid overshoot of the LP optimum is at least its constant
+    term, since then the grid yields no usable certificate.
     """
     _check_theta(theta)
     if n < 2:
@@ -426,17 +428,15 @@ def delsarte_lp(
             f"no degree-{degree} certificate at theta={theta}: no polynomial with"
             " f_0 = 1 and f_k >= 0 is <= 0 on the grid"
         )
+    where = f"degree {degree}, theta={theta}, grid {grid_size}"
     if res.status != "optimal":
-        raise RuntimeError(f"discretized program not solved: {res.status}")
+        raise ValueError(f"discretized program at {where} not solved: {res.status}")
     f_rest = np.maximum(-res.duals_ub, 0.0)
 
     checks = [f"lp grid={grid_size} degree={degree} iterations={res.iterations}"]
     coeffs = np.zeros(degree + 1)
     for k in range(1, degree + 1):
-        basis = np.zeros(degree + 1)
-        bc = np.asarray(coeffs_1d(n, k).coeffs, dtype=float)
-        basis[: bc.size] = bc
-        coeffs += f_rest[k - 1] * basis
+        coeffs[: k + 1] += f_rest[k - 1] * np.asarray(coeffs_1d(n, k))
     coeffs[0] += 1.0  # f0 = 1
 
     overshoot = max(poly_max_on_interval(coeffs, -1.0, c), 0.0)
@@ -447,7 +447,10 @@ def delsarte_lp(
         f0 -= overshoot
         checks.append(f"shrunk constant term by grid overshoot {overshoot:.3e}")
         if f0 <= 0:
-            raise RuntimeError("grid leakage consumed the whole constant term")
+            raise ValueError(
+                f"no usable certificate at {where}: grid leakage consumed the whole"
+                " constant term"
+            )
     if not verify_nonpositive(coeffs, theta, tol=1e-10):
         raise RuntimeError("post-hoc verification failed after shrinkage")
     checks.append("continuous nonpositivity verified")

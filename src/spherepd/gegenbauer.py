@@ -27,7 +27,6 @@ import numpy as np
 from .randgen import rng_for
 
 __all__ = [
-    "GegenbauerPolynomial",
     "AdditionCoefficients",
     "OrthogonalityEstimate",
     "eval_1d",
@@ -46,15 +45,6 @@ __all__ = [
     "orthogonality_mc",
     "orthogonality_quad",
 ]
-
-
-@dataclass(frozen=True)
-class GegenbauerPolynomial:
-    """Monomial coefficients of the degree-k polynomial: coeffs[j] multiplies t^j."""
-
-    n: int
-    k: int
-    coeffs: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -93,12 +83,13 @@ def eval_1d(n: int, k: int, t):
 
 
 @lru_cache(maxsize=None)
-def coeffs_1d(n: int, k: int) -> GegenbauerPolynomial:
-    """Monomial coefficient form, built by the same three-term recurrence."""
+def coeffs_1d(n: int, k: int) -> tuple[float, ...]:
+    """Monomial coefficients of G_k (entry j multiplies t^j), built by the
+    same three-term recurrence."""
     _check_nk(n, k)
-    prev = np.array([1.0])
     if k == 0:
-        return GegenbauerPolynomial(n, 0, (1.0,))
+        return (1.0,)
+    prev = np.array([1.0])
     cur = np.array([0.0, 1.0])
     for j in range(2, k + 1):
         nxt = np.zeros(j + 1)
@@ -106,7 +97,7 @@ def coeffs_1d(n: int, k: int) -> GegenbauerPolynomial:
         nxt[: j - 1] -= (j - 1) * prev
         nxt /= j + n - 3
         prev, cur = cur, nxt
-    return GegenbauerPolynomial(n, k, tuple(cur))
+    return tuple(cur)
 
 
 def _homogeneous_upto(nu: int, k: int, d, e, lo: int = 0):
@@ -168,12 +159,18 @@ def _kernel_args(t: np.ndarray, u: np.ndarray, sq=1.0) -> tuple[np.ndarray, np.n
     return t - u @ u.T, np.outer(a, a)
 
 
-def _uv_arrays(u, v, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_args(t, u, v, m: int):
+    """The recurrence arguments of paired rows: d = t - <u, v> and
+    e = (1 - |u|^2)(1 - |v|^2).
+
+    u and v are level-m prefixes, vectors of length m or stacks of shape
+    (..., m), against which t broadcasts.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape[-1:] != (m,) or v.shape[-1:] != (m,):
         raise ValueError(f"u and v must have length m={m}")
-    return u, v
+    return t - (u * v).sum(-1), (1.0 - (u * u).sum(-1)) * (1.0 - (v * v).sum(-1))
 
 
 def eval_mv(n: int, m: int, k: int, t, u=(), v=()):
@@ -185,27 +182,21 @@ def eval_mv(n: int, m: int, k: int, t, u=(), v=()):
     """
     _check_level(n, m)
     _check_nk(n - m, k)
-    u, v = _uv_arrays(u, v, m)
-    d = t - (u * v).sum(-1)
-    e = (1.0 - (u * u).sum(-1)) * (1.0 - (v * v).sum(-1))
-    return _homogeneous(n - m, k, d, e)
+    return _homogeneous(n - m, k, *_pair_args(t, u, v, m))
 
 
 def domain_gap(t: float, u, v) -> float:
     """(1-|u|^2)(1-|v|^2) - (t-<u,v>)^2, the bordered-identity determinant.
 
     Nonnegative (together with |u| <= 1) exactly on the natural domain of
-    the multivariate polynomials.
+    the multivariate polynomials.  u and v are vectors of one length.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return (1.0 - float(u @ u)) * (1.0 - float(v @ v)) - (t - float(u @ v)) ** 2
+    d, e = _pair_args(t, u, v, np.size(u))
+    return float(e - d * d)
 
 
 def in_domain(t: float, u, v, tol: float = 1e-12) -> bool:
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    return domain_gap(t, u, v) >= -tol and float(u @ u) <= 1.0 + tol
+    return domain_gap(t, u, v) >= -tol and float(np.dot(u, u)) <= 1.0 + tol
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +334,7 @@ def _peel(g, nu: int, e) -> np.ndarray:
     g = np.array(g, dtype=float).tolist()
     f = [0.0] * len(g)
     for k in range(len(g) - 1, -1, -1):
-        a = coeffs_1d(nu, k).coeffs
+        a = coeffs_1d(nu, k)
         f[k] = g[k] / a[k]
         w = 1.0
         for j in range(k - 2, -1, -2):
@@ -356,28 +347,28 @@ def expand_in_t(coeff_fns, n: int, m: int):
     """Rewrite a t-polynomial with (u, v) coefficient functions in the
     multivariate Gegenbauer basis of level m.
 
-    coeff_fns[i] is the coefficient function of t^i (a callable of (u, v);
-    for m = 0 it is called with empty vectors).  Returns callables
-    f_0, ..., f_K with  F(t,u,v) = sum_k f_k(u,v) * basis_k(t,u,v).
+    coeff_fns[i] is the coefficient function of t^i (a callable of
+    vectors (u, v); for m = 0 it is called with empty vectors).  Returns
+    one callable of (u, v) whose value is the array f_0, ..., f_K with
+    F(t,u,v) = sum_k f_k(u,v) * basis_k(t,u,v).
 
-    At a point (u, v), f_k calls each coefficient function once,
-    re-expands the polynomial in s = t - <u,v> and peels it in the basis
+    At a point (u, v), it calls each coefficient function once, shifts
+    the polynomial by Horner to s = t - <u,v>, i.e. t = s - d with
+    (d, e) = _pair_args(0, u, v, m), and peels it once in the basis
     e^(k/2) G_k^{(n-m)}(s / sqrt(e)), e = (1-|u|^2)(1-|v|^2): O(K^2)
-    operations, exact at e = 0.
+    operations for all K + 1 coefficients, exact at e = 0.
     """
     _check_level(n, m)
 
     def expansion(u, v) -> np.ndarray:
-        u_, v_ = _uv_arrays(u, v, m)
-        ip = float(u_ @ v_)
-        e = (1.0 - float(u_ @ u_)) * (1.0 - float(v_ @ v_))
+        d, e = _pair_args(0.0, u, v, m)  # d = -<u,v>
         g = np.zeros(len(coeff_fns))
-        for fn in reversed(coeff_fns):  # Horner in t = s + <u,v>
-            g[1:] = g[:-1] + ip * g[1:]
-            g[0] = ip * g[0] + fn(u, v)
+        for fn in reversed(coeff_fns):  # Horner in t = s - d
+            g[1:] = g[:-1] - d * g[1:]
+            g[0] = fn(u, v) - d * g[0]
         return _peel(g, n - m, e)
 
-    return [lambda u, v, k=k: float(expansion(u, v)[k]) for k in range(len(coeff_fns))]
+    return expansion
 
 
 def gegenbauer_expansion(poly_coeffs, n: int) -> np.ndarray:
@@ -556,8 +547,9 @@ def addition_residual(n: int, m: int, k: int, samples: int = 100, seed: int = 0)
 
     rng_for(seed, n, m, k) draws all samples at once: u, then v, each
     (samples, m) in the cube; a shrink factor into the ball for each row
-    of u, then of v, of norm >= 1; then t.  eval_mv and addition_term each
-    run once per term on the whole stack.
+    of u, then of v, of norm >= 1; then t.  Each addition_term runs once
+    on the whole stack, and one recurrence pass gives the level-m
+    polynomials of every degree 0..k.
     """
     _check_level(n, m, 1)
     if samples < 1:
@@ -569,11 +561,11 @@ def addition_residual(n: int, m: int, k: int, samples: int = 100, seed: int = 0)
         nw = np.linalg.norm(w, axis=1)
         out = nw >= 1.0
         w[out] *= (rng.uniform(0.0, 0.999, size=int(out.sum())) / nw[out])[:, None]
-    e = (1.0 - (u * u).sum(-1)) * (1.0 - (v * v).sum(-1))
-    t = (u * v).sum(-1) + rng.uniform(-1.0, 1.0, size=samples) * np.sqrt(e)
+    d, e = _pair_args(0.0, u, v, m)  # d = -<u,v>
+    t = rng.uniform(-1.0, 1.0, size=samples) * np.sqrt(e) - d
     lhs = eval_mv(n, m - 1, k, t, u[:, : m - 1], v[:, : m - 1])
     rhs = sum(
-        addition_term(u, n, m, k, s) * addition_term(v, n, m, k, s) * eval_mv(n, m, s, t, u, v)
-        for s in range(k + 1)
+        addition_term(u, n, m, k, s) * addition_term(v, n, m, k, s) * h
+        for s, h in enumerate(_homogeneous_upto(n - m, k, *_pair_args(t, u, v, m)))
     )
     return float(np.max(np.abs(lhs - rhs)))

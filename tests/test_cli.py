@@ -6,9 +6,10 @@ from math import pi
 
 import pytest
 
-from spherepd import serialize, spherical, symlin
+from spherepd import codebounds, serialize, spherical, symlin
 from spherepd.cli import UsageError, main, parse_range, parse_theta
 from spherepd.constraints import make_pair, pair_from_points
+from spherepd.simplex import LpResult
 from spherepd.spherical import sample_sphere
 from spherepd.symlin import SymmetricMatrix
 
@@ -277,6 +278,34 @@ class TestBound:
         assert captured.out == ""
         assert captured.err.startswith("error: no degree-2 certificate at theta=1.047")
 
+    def test_lp_grid_leakage_exits_2(self, tmp_path, capsys):
+        # the grid optimum is about -6.9e7 with f_k near 1e7: its overshoot
+        # off the grid exceeds f_0, so the grid holds no usable certificate
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "theta": "pi/4", "degree": 5, "grid": 4096}))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no usable certificate at degree 5, theta=0.7853981633974483, grid 4096:"
+            " grid leakage consumed the whole constant term\n"
+        )
+
+    def test_lp_iteration_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        def stopped(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maxiter=50_000):
+            return LpResult("iteration limit", None, None, None, None, maxiter)
+
+        monkeypatch.setattr(codebounds, "solve_lp", stopped)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "theta": "pi/2", "degree": 4, "grid": 512}))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: discretized program at degree 4, theta=1.5707963267948966, grid 512"
+            " not solved: iteration limit\n"
+        )
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -395,6 +424,26 @@ class TestCodes:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-psd", "--n", "3", "--m", "0..2", "--k", "1", "--seeds", "0"],
+             "level m=2 out of range [0, 1]"),
+            (["verify-orthogonality", "--n", "4", "--m", "3", "--k", "1", "--l", "2"],
+             "level m=3 out of range [0, 2]"),
+            (["verify-addition", "--n", "4", "--m", "3", "--k", "2"],
+             "level m=3 out of range [1, 2]"),
+            (["verify-addition", "--n", "4", "--m", "0..1", "--k", "2"],
+             "level m=0 out of range [1, 2]"),
+        ],
+        ids=["verify-psd", "verify-orthogonality", "verify-addition", "verify-addition-low"],
+    )
+    def test_level_out_of_range_has_shared_message(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv",

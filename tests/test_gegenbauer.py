@@ -107,12 +107,12 @@ class TestCoeffs1d:
         t = np.linspace(-1, 1, 9)
         for n in (3, 5, 8):
             for k in range(7):
-                c = gg.coeffs_1d(n, k).coeffs
+                c = gg.coeffs_1d(n, k)
                 direct = sum(c[j] * t**j for j in range(k + 1))
                 assert np.allclose(direct, gg.eval_1d(n, k, t), atol=1e-12)
 
     def test_parity_zeros(self):
-        c = gg.coeffs_1d(5, 4).coeffs
+        c = gg.coeffs_1d(5, 4)
         assert c[1] == 0.0 and c[3] == 0.0
 
 
@@ -355,6 +355,36 @@ class TestAddition:
         for n, m, k in [(6, 2, 4), (5, 1, 5), (8, 6, 3), (4, 2, 5)]:
             assert gg.addition_residual(n, m, k, samples=50, seed=1) < 1e-9
 
+    @staticmethod
+    def residual_per_degree(n, m, k, samples=100, seed=0):
+        """addition_residual as it was, with one eval_mv call per degree 0..k."""
+        rng = rng_for(seed, n, m, k)
+        u = rng.uniform(-1.0, 1.0, size=(samples, m))
+        v = rng.uniform(-1.0, 1.0, size=(samples, m))
+        for w in (u, v):
+            nw = np.linalg.norm(w, axis=1)
+            out = nw >= 1.0
+            w[out] *= (rng.uniform(0.0, 0.999, size=int(out.sum())) / nw[out])[:, None]
+        e = (1.0 - (u * u).sum(-1)) * (1.0 - (v * v).sum(-1))
+        t = (u * v).sum(-1) + rng.uniform(-1.0, 1.0, size=samples) * np.sqrt(e)
+        lhs = gg.eval_mv(n, m - 1, k, t, u[:, : m - 1], v[:, : m - 1])
+        rhs = sum(
+            gg.addition_term(u, n, m, k, s) * gg.addition_term(v, n, m, k, s)
+            * gg.eval_mv(n, m, s, t, u, v)
+            for s in range(k + 1)
+        )
+        return float(np.max(np.abs(lhs - rhs)))
+
+    @pytest.mark.parametrize("seed", [0, 7, 913])
+    def test_residual_equals_per_degree_form_bit_for_bit(self, seed):
+        # one recurrence pass for degrees 0..k gives what k + 1 calls gave
+        for n in range(3, 10):
+            for m in range(1, n - 1):
+                for k in range(9):
+                    got = gg.addition_residual(n, m, k, seed=seed)
+                    want = self.residual_per_degree(n, m, k, seed=seed)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, m, k)
+
 
 class TestExpansion:
     def test_univariate_peeling(self):
@@ -385,10 +415,11 @@ class TestExpansion:
             return c
 
         out = gg.expand_in_t([t_power(i) for i in range(4)], n, m)
-        u, v = np.array([0.3]), np.array([-0.2])
-        for k, fk in enumerate(out):
+        f = out(np.array([0.3]), np.array([-0.2]))
+        assert f.shape == (4,)
+        for k, fk in enumerate(f):
             expected = 1.0 if k == 3 else 0.0
-            assert fk(u, v) == pytest.approx(expected, abs=1e-10)
+            assert fk == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("n, m", [(6, 1), (7, 2), (5, 0)])
     def test_expand_in_t_identity_degree_16(self, n, m):
@@ -406,16 +437,52 @@ class TestExpansion:
             points.append((0.3, np.eye(m)[0], np.full(m, 0.5 / m)))
         for t, u, v in points:
             terms = [fn(u, v) * t**i for i, fn in enumerate(fns)]
-            expanded = sum(fk(u, v) * gg.eval_mv(n, m, k, t, u, v) for k, fk in enumerate(out))
+            expanded = sum(fk * gg.eval_mv(n, m, k, t, u, v) for k, fk in enumerate(out(u, v)))
             assert abs(expanded - sum(terms)) <= 1e-10 * sum(abs(x) for x in terms)
 
     @pytest.mark.parametrize("degree", [4, 8, 12, 16])
     def test_expand_in_t_calls_each_coefficient_once(self, degree):
+        # every f_k at a point from K + 1 coefficient calls, one per function
         calls = []
         fns = [lambda u, v, i=i: calls.append(i) or 1.0 / (i + 1) for i in range(degree + 1)]
-        f0 = gg.expand_in_t(fns, 6, 1)[0]
-        f0(np.array([0.3]), np.array([-0.2]))
-        assert len(calls) <= degree + 1
+        expansion = gg.expand_in_t(fns, 6, 1)
+        for u, v in [(0.3, -0.2), (0.0, 0.9), (1.0, 0.5)]:
+            calls.clear()
+            f = expansion(np.array([u]), np.array([v]))
+            assert f.shape == (degree + 1,)
+            assert sorted(calls) == list(range(degree + 1))
+
+    @pytest.mark.parametrize("n, m", [(6, 1), (7, 2), (5, 0), (9, 3)])
+    def test_expand_in_t_matches_per_degree_closures(self, n, m):
+        # the vector form against the closures it replaced, each of which
+        # redid the whole expansion with BLAS dots for <u,v>, |u|^2, |v|^2
+        def per_degree(coeff_fns):
+            def expansion(u, v):
+                u_, v_ = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+                ip = float(u_ @ v_)
+                e = (1.0 - float(u_ @ u_)) * (1.0 - float(v_ @ v_))
+                g = np.zeros(len(coeff_fns))
+                for fn in reversed(coeff_fns):
+                    g[1:] = g[:-1] + ip * g[1:]
+                    g[0] = ip * g[0] + fn(u, v)
+                return gg._peel(g, n - m, e)
+
+            return [lambda u, v, k=k: float(expansion(u, v)[k]) for k in range(len(coeff_fns))]
+
+        degree = 16
+        rng = rng_for(5, n, m, degree)
+        abc = rng.standard_normal((degree + 1, 3))
+        fns = [
+            lambda u, v, a=a: a[0] + a[1] * float(u @ v) + a[2] * float(u @ u) * float(v @ v)
+            for a in abc
+        ]
+        new, old = gg.expand_in_t(fns, n, m), per_degree(fns)
+        points = [sample_domain_triple(rng, m)[1:] for _ in range(20)]
+        if m:
+            points.append((np.eye(m)[0], np.full(m, 0.5 / m)))
+        for u, v in points:
+            want = np.array([fk(u, v) for fk in old])
+            assert np.max(np.abs(new(u, v) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_expansion_matches_peeling_loop(self):
         # the same operations as peeling whole basis polynomials off in turn
@@ -425,7 +492,7 @@ class TestExpansion:
             p = rng.standard_normal(degree + 1)
             loop, rest = np.zeros(degree + 1), p.copy()
             for k in range(degree, -1, -1):
-                basis = np.array(gg.coeffs_1d(n, k).coeffs)
+                basis = np.array(gg.coeffs_1d(n, k))
                 loop[k] = rest[k] / basis[k]
                 rest[: k + 1] -= loop[k] * basis
             assert np.array_equal(gg.gegenbauer_expansion(p, n), loop)
