@@ -67,7 +67,7 @@ class MembershipReport:
 
 def make_pair(t, u, n: int) -> FeasiblePair:
     """Validate and wrap candidate data; lists every violated condition."""
-    tm = t if isinstance(t, SymmetricMatrix) else SymmetricMatrix(t)
+    tm = SymmetricMatrix(t)
     ua = np.asarray(u, dtype=float)
     r = tm.dim
     problems = []
@@ -93,8 +93,7 @@ def make_pair(t, u, n: int) -> FeasiblePair:
 def pair_from_points(points: PointConfiguration) -> FeasiblePair:
     """The feasible pair realized by an actual unit configuration."""
     points.require_unit()
-    t = points.coords @ points.coords.T
-    return make_pair(SymmetricMatrix(t, check=False), points.coords[:, :-1], points.n)
+    return make_pair(points.coords @ points.coords.T, points.coords[:, :-1], points.n)
 
 
 def augment(pair: FeasiblePair, m: int) -> AugmentedPair:
@@ -115,7 +114,7 @@ def augment(pair: FeasiblePair, m: int) -> AugmentedPair:
     x[r:, :r] = x[:r, r:].T
     v = np.zeros((size, m))
     v[:r] = pair.u[:, :m]
-    return AugmentedPair(SymmetricMatrix(x, check=False), v, m)
+    return AugmentedPair(SymmetricMatrix(x), v, m)
 
 
 def lambda_member(
@@ -195,7 +194,7 @@ def euclid_kernel(points: PointConfiguration, m: int, k: int) -> SymmetricMatrix
     _check_level(n, m)
     c = points.coords
     d_e = _kernel_args(c @ c.T, c[:, :m], np.einsum("ij,ij->i", c, c))
-    return SymmetricMatrix(_homogeneous(n - m, k, *d_e), check=False)
+    return SymmetricMatrix(_homogeneous(n - m, k, *d_e))
 
 
 def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix:
@@ -206,11 +205,11 @@ def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix
     (n A_2 - a^T a) / (n - 1) with A_2 the entrywise square and a the
     diagonal.
     """
-    arr = a.array if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a).array
+    arr = SymmetricMatrix(a).array
     if np.min(np.diag(arr)) < 0:
         raise ValueError("diagonal entries must be nonnegative")
     rank = symlin.psd_rank(arr, tol)
     if rank > n:
         raise ValueError(f"rank {rank} exceeds n = {n}; the PSD claim does not apply")
     e = np.outer(np.diag(arr), np.diag(arr))
-    return SymmetricMatrix(_homogeneous(n, k, arr, e), check=False)
+    return SymmetricMatrix(_homogeneous(n, k, arr, e))

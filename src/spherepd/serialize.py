@@ -41,7 +41,7 @@ __all__ = [
 
 
 def matrix_to_json(a) -> str:
-    m = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)
+    m = SymmetricMatrix(a)
     return json.dumps({"dim": m.dim, "upper": m.upper.tolist()})
 
 
@@ -51,8 +51,7 @@ def matrix_from_json(text: str) -> SymmetricMatrix:
 
 
 def matrix_to_csv(a) -> str:
-    m = a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)
-    return _rows_to_csv(m.array)
+    return _rows_to_csv(SymmetricMatrix(a).array)
 
 
 def matrix_from_csv(text: str) -> SymmetricMatrix:
@@ -85,8 +84,7 @@ def pair_to_json(pair: FeasiblePair) -> str:
 
 def pair_from_json(text: str) -> FeasiblePair:
     obj = json.loads(text)
-    t = SymmetricMatrix(np.asarray(obj["T"], dtype=float))
-    return make_pair(t, np.asarray(obj["U"], dtype=float), int(obj["n"]))
+    return make_pair(obj["T"], np.asarray(obj["U"], dtype=float), int(obj["n"]))
 
 
 def polynomial_to_json(n: int, m: int, terms: dict) -> str:

@@ -156,7 +156,7 @@ def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:
         raise ValueError("degree must be >= 0")
     u = project(points, m)
     t = points.coords @ points.coords.T
-    base = SymmetricMatrix(_homogeneous(n - m, k, *_kernel_args(t, u)), check=False)
+    base = SymmetricMatrix(_homogeneous(n - m, k, *_kernel_args(t, u)))
     return KernelMatrix(base=base, n=n, m=m, k=k, source=f"r={points.size}")
 
 
@@ -201,9 +201,9 @@ def bv_matrices(
         w = weights[:, None] * np.vstack(list(_homogeneous_upto(n + 2 * k, d, tl, 1.0)))
         y = w @ a_l @ w.T
         y = 0.5 * (y + y.T)
-        ys.append(SymmetricMatrix(y, check=False))
+        ys.append(SymmetricMatrix(y))
         total += y
-    return ys, SymmetricMatrix(total, check=False)
+    return ys, SymmetricMatrix(total)
 
 
 def verify_corollary31(
@@ -217,9 +217,10 @@ def verify_corollary31(
 
     h_matrices[k] is the PSD matrix H_k defining the coefficient function
     f_k(u, v) = z_d(u) . H_k . z_d(v) (entries may be None for absent
-    terms).  The assembled matrix sum_k (f_k(u_i, u_j)) o (kernel_k) must
-    come out PSD.  Every degree's kernel comes from one recurrence pass;
-    total is mirrored, as z H z^T is not formed exactly symmetric.
+    terms), read through SymmetricMatrix, so an asymmetric H_k is refused.
+    The assembled matrix sum_k (f_k(u_i, u_j)) o (kernel_k) must come out
+    PSD.  Every degree's kernel comes from one recurrence pass; total is
+    mirrored, as z H z^T is not formed exactly symmetric.
     """
     points.require_unit()
     n = points.n
@@ -234,7 +235,7 @@ def verify_corollary31(
     for k, (h, b_k) in enumerate(zip(h_matrices, kernels)):
         if h is None:
             continue
-        harr = h.array if isinstance(h, SymmetricMatrix) else np.asarray(h, float)
+        harr = SymmetricMatrix(h).array
         if harr.shape != (z.shape[1], z.shape[1]):
             raise ValueError(
                 f"H_{k} has shape {harr.shape}, expected {(z.shape[1], z.shape[1])}"
@@ -245,4 +246,4 @@ def verify_corollary31(
         total += (z @ harr @ z.T) * b_k
     if bad:
         raise ValueError(f"coefficient matrices not PSD at degrees {bad}")
-    return symlin.is_psd(SymmetricMatrix(total, check=False), tol)
+    return symlin.is_psd(SymmetricMatrix(total), tol)

@@ -27,27 +27,24 @@ DEFAULT_TOL = 1e-8
 
 
 class SymmetricMatrix:
-    """A dense real symmetric matrix.
+    """A dense real symmetric matrix, read-only.  A SymmetricMatrix is reused;
+    other input is copied as float, kept as given if exactly symmetric, else
+    mirrored from its upper triangle if within 1e-10 of its largest finite
+    entry, else refused."""
 
-    Symmetry is structural: only the upper triangle of the input is kept
-    and mirrored, so ``entries(i, j) == entries(j, i)`` always holds.
-    """
-
-    def __init__(self, array: np.ndarray, check: bool = True):
-        a = np.asarray(array, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("dimension must be >= 1")
-        if check:
-            # equal infinities and mirrored NaNs count as symmetric and are
-            # left to callers; any other non-finite pair is not close
+    def __init__(self, array):
+        if isinstance(array, SymmetricMatrix):
+            self._array = array.array
+            return
+        a = _square(np.array(array, dtype=float))
+        if not np.array_equal(a, a.T):
+            # equal infinities and mirrored NaNs pass; any other non-finite gap fails
             scale = np.max(np.abs(a), initial=1.0, where=np.isfinite(a))
             if not np.isclose(a, a.T, rtol=0.0, atol=1e-10 * scale, equal_nan=True).all():
                 raise ValueError("input matrix is not symmetric")
-        upper = np.triu(a)
-        self._array = upper + np.triu(a, 1).T
-        self._array.flags.writeable = False
+            a = np.triu(a) + np.triu(a, 1).T
+        a.flags.writeable = False
+        self._array = a
 
     @classmethod
     def from_upper(cls, dim: int, upper: np.ndarray) -> "SymmetricMatrix":
@@ -56,8 +53,9 @@ class SymmetricMatrix:
         if upper.size != dim * (dim + 1) // 2:
             raise ValueError("upper triangle has wrong length")
         a = np.zeros((dim, dim))
-        a[np.triu_indices(dim)] = upper
-        return cls(a, check=False)  # the constructor mirrors the upper triangle
+        i, j = np.triu_indices(dim)
+        a[i, j] = a[j, i] = upper
+        return cls(a)
 
     @property
     def dim(self) -> int:
@@ -92,18 +90,22 @@ class PsdReport:
         return -self.tolerance_used * max(self.matrix_scale, 1.0)
 
 
+def _square(arr: np.ndarray) -> np.ndarray:
+    """arr itself, if it is a square matrix of dimension >= 1."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise ValueError("dimension must be >= 1")
+    return arr
+
+
 def _as_array(a) -> np.ndarray:
     """The matrix to hand LAPACK, never to be written to: a SymmetricMatrix's
-    array, an exactly symmetric float array as given, else the symmetric part.
-
-    The symmetric part of a symmetric array is the array itself bit for bit,
-    where a + a.T does not overflow, so skipping its copy changes no result.
-    """
+    array, an exactly symmetric float array as given (bit for bit its
+    symmetric part, barring overflow), else the symmetric part."""
     if isinstance(a, SymmetricMatrix):
         return a.array
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
+    arr = _square(np.asarray(a, dtype=float))
     return arr if np.array_equal(arr, arr.T) else 0.5 * (arr + arr.T)
 
 
@@ -174,7 +176,7 @@ def hadamard(a, b) -> SymmetricMatrix:
     bb = _as_array(b)
     if aa.shape != bb.shape:
         raise ValueError(f"dimension mismatch: {aa.shape[0]} vs {bb.shape[0]}")
-    return SymmetricMatrix(aa * bb, check=False)
+    return SymmetricMatrix(aa * bb)
 
 
 def gram(points) -> SymmetricMatrix:
@@ -183,7 +185,7 @@ def gram(points) -> SymmetricMatrix:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[0] == 0:
         raise ValueError("expected a nonempty r x n array of points")
-    return SymmetricMatrix(coords @ coords.T, check=False)
+    return SymmetricMatrix(coords @ coords.T)
 
 
 def psd_rank(a, tol: float = DEFAULT_TOL) -> int:

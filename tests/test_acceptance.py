@@ -141,7 +141,7 @@ def test_criterion_6_euclidean_consistency():
         r = int(rng.integers(3, 9))
         b = rng.standard_normal((r, n))
         a = b @ b.T
-        got = constraints.h_map(SymmetricMatrix(a, check=False), n, 2).array
+        got = constraints.h_map(SymmetricMatrix(a), n, 2).array
         diag = np.diag(a)
         expected = (n * a**2 - np.outer(diag, diag)) / (n - 1)
         worst = max(worst, float(np.max(np.abs(got - expected))))
@@ -162,7 +162,7 @@ def test_criterion_6_euclidean_consistency():
         a = b @ b.T
         diag = np.diag(a)
         h2 = (n * a**2 - np.outer(diag, diag)) / (n - 1)
-        assert symlin.is_psd(SymmetricMatrix(h2, check=False)).is_psd, trial
+        assert symlin.is_psd(SymmetricMatrix(h2)).is_psd, trial
     report(
         f"criterion 6 PASS: entrywise-map deviation {worst:.2e}, "
         f"kernel agreement {worst_kernel:.2e}, 100 rank-bounded matrices PSD"
@@ -203,7 +203,7 @@ def test_criterion_7_hierarchy():
         t.T[idx] = vals
         u = rng.uniform(-0.57, 0.57, size=(3, n - 1))
         try:
-            pair = constraints.make_pair(SymmetricMatrix(t, check=False), u, n)
+            pair = constraints.make_pair(SymmetricMatrix(t), u, n)
         except ValueError:
             continue
         flags = [constraints.lambda_member(pair, m, d=3).member for m in range(n - 1)]

@@ -122,7 +122,7 @@ def per_degree_lambda_reports(pair, m, d, tol):
     aug = augment(pair, m)
     args = spherical._kernel_args(aug.x.array, aug.v)
     return {
-        k: symlin.is_psd(SymmetricMatrix(_homogeneous(pair.n - m, k, *args), check=False), tol)
+        k: symlin.is_psd(SymmetricMatrix(_homogeneous(pair.n - m, k, *args)), tol)
         for k in range(1, d + 1)
     }
 
@@ -248,7 +248,7 @@ class TestHMap:
     def test_degree_one_is_identity_map(self):
         rng = rng_for(22, 0)
         b = rng.standard_normal((6, 4))
-        a = SymmetricMatrix(b @ b.T, check=False)
+        a = SymmetricMatrix(b @ b.T)
         assert np.allclose(h_map(a, 4, 1).array, a.array, atol=1e-14)
 
     def test_degree_two_explicit_formula(self):
@@ -256,7 +256,7 @@ class TestHMap:
         n = 5
         b = rng.standard_normal((7, n))
         a = b @ b.T
-        got = h_map(SymmetricMatrix(a, check=False), n, 2).array
+        got = h_map(SymmetricMatrix(a), n, 2).array
         diag = np.diag(a)
         expected = (n * a**2 - np.outer(diag, diag)) / (n - 1)
         assert np.max(np.abs(got - expected)) < 1e-12
@@ -265,7 +265,7 @@ class TestHMap:
         rng = rng_for(24, 0)
         for k in (2, 3, 4):
             b = rng.standard_normal((6, 3))
-            out = h_map(SymmetricMatrix(b @ b.T, check=False), 3, k)
+            out = h_map(SymmetricMatrix(b @ b.T), 3, k)
             assert symlin.is_psd(out).is_psd
 
     def test_rank_guard(self):
@@ -273,15 +273,15 @@ class TestHMap:
         rng = rng_for(25, 0)
         b = rng.standard_normal((5, 5))
         with pytest.raises(ValueError, match="rank"):
-            h_map(SymmetricMatrix(b @ b.T, check=False), 2, 2)
+            h_map(SymmetricMatrix(b @ b.T), 2, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_entries_refused(self, bad):
         for rows in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
             with pytest.raises(ValueError, match="entries must be finite"):
-                h_map(SymmetricMatrix(rows, check=False), 3, 2)
+                h_map(SymmetricMatrix(rows), 3, 2)
 
     def test_negative_degree_is_value_error(self):
         b = rng_for(27, 0).standard_normal((4, 3))
         with pytest.raises(ValueError, match="degrees"):
-            h_map(SymmetricMatrix(b @ b.T, check=False), 3, -1)
+            h_map(SymmetricMatrix(b @ b.T), 3, -1)

@@ -17,7 +17,7 @@ class TestMatrixFormats:
     def setup_method(self):
         rng = rng_for(50, 0)
         a = rng.standard_normal((4, 4))
-        self.m = SymmetricMatrix(0.5 * (a + a.T), check=False)
+        self.m = SymmetricMatrix(0.5 * (a + a.T))
 
     def test_json_roundtrip(self):
         text = serialize.matrix_to_json(self.m)

@@ -172,6 +172,15 @@ class TestVerifyExpansion:
         with pytest.raises(ValueError, match="not PSD"):
             spherical.verify_corollary31(pts, 2, [bad], 1)
 
+    def test_asymmetric_coefficient_matrix_refused(self):
+        # the symmetric part of H is I, yet neither H nor H^T is a PSD H_k
+        pts = sample_sphere(5, 6, seed=9)
+        h = np.eye(len(monomial_exponents(2, 1)))
+        h[0, 1], h[1, 0] = 0.5, -0.5
+        for hk in (h, h.T):
+            with pytest.raises(ValueError, match="not symmetric"):
+                spherical.verify_corollary31(pts, 2, [hk], 1)
+
 
 def per_degree_corollary31(points, m, h_matrices, d, tol=symlin.DEFAULT_TOL):
     """verify_corollary31 with one kernel_matrix call per present degree."""
@@ -181,7 +190,7 @@ def per_degree_corollary31(points, m, h_matrices, d, tol=symlin.DEFAULT_TOL):
     for k, h in enumerate(h_matrices):
         if h is not None:
             total += (z @ h @ z.T) * spherical.kernel_matrix(points, m, k).base.array
-    return symlin.is_psd(symlin.SymmetricMatrix(total, check=False), tol)
+    return symlin.is_psd(symlin.SymmetricMatrix(total), tol)
 
 
 class TestVerifyCorollary31OnePass:

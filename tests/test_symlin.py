@@ -11,7 +11,7 @@ from spherepd.symlin import SymmetricMatrix
 def random_symmetric(dim, seed, scale=1.0):
     rng = rng_for(seed, dim)
     a = rng.standard_normal((dim, dim)) * scale
-    return SymmetricMatrix(0.5 * (a + a.T), check=False)
+    return SymmetricMatrix(0.5 * (a + a.T))
 
 
 class TestSymmetricMatrix:
@@ -43,6 +43,31 @@ class TestSymmetricMatrix:
         m = SymmetricMatrix.from_upper(3, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         expected = np.array([[1.0, 2, 3], [2, 4, 5], [3, 5, 6]])
         assert np.array_equal(m.array, expected)
+        r = random_symmetric(5, seed=11)
+        assert SymmetricMatrix.from_upper(5, r.upper).array.tobytes() == r.array.tobytes()
+
+    def test_exactly_symmetric_input_kept_bit_for_bit(self):
+        for a in (np.array([[-0.0, 1.5], [1.5, 2.0]]), np.array([[1.0, -0.0], [-0.0, 1.0]]),
+                  random_symmetric(6, seed=12).array.copy()):
+            assert SymmetricMatrix(a).array.tobytes() == a.tobytes()
+
+    def test_input_not_aliased(self):
+        a = np.eye(3)
+        m = SymmetricMatrix(a)
+        a[0, 1] = a[1, 0] = 7.0
+        assert np.array_equal(m.array, np.eye(3))
+        assert a.flags.writeable
+
+    def test_near_symmetric_input_mirrors_upper_triangle(self):
+        a = random_symmetric(5, seed=13).array.copy()
+        a[3, 1] += 1e-13
+        a[0, 4] -= 1e-13
+        expected = np.triu(a) + np.triu(a, 1).T
+        assert SymmetricMatrix(a).array.tobytes() == expected.tobytes()
+
+    def test_symmetric_matrix_input_reused(self):
+        m = random_symmetric(4, seed=14)
+        assert SymmetricMatrix(m).array is m.array
 
     def test_array_read_only(self):
         m = SymmetricMatrix(np.eye(2))
@@ -74,7 +99,7 @@ class TestEigenvalues:
     def test_identity_plus_all_ones_closed_form(self, dim, b):
         # aI + bJ: eigenvalue a with multiplicity dim - 1, a + dim*b once
         a = 1.5
-        m = SymmetricMatrix(a * np.eye(dim) + b * np.ones((dim, dim)), check=False)
+        m = SymmetricMatrix(a * np.eye(dim) + b * np.ones((dim, dim)))
         expected = np.sort(np.append(np.full(dim - 1, a), a + dim * b))
         for vals in (symlin.eigenvalues(m), symlin.eigensystem(m)[0]):
             assert np.max(np.abs(vals - expected)) < 1e-12 * max(1.0, dim * abs(b))
@@ -91,7 +116,7 @@ class TestIsPsd:
     def test_psd_gram(self):
         rng = rng_for(1, 6)
         b = rng.standard_normal((6, 4))
-        rep = symlin.is_psd(SymmetricMatrix(b @ b.T, check=False))
+        rep = symlin.is_psd(SymmetricMatrix(b @ b.T))
         assert rep.is_psd and rep.min_eigenvalue > -1e-12
 
     def test_indefinite(self):
@@ -115,7 +140,7 @@ class TestIsPsd:
         g = b @ b.T
         g = np.triu(g) + np.triu(g, 1).T
         assert symlin._as_array(g) is g
-        assert symlin.is_psd(g) == symlin.is_psd(SymmetricMatrix(g, check=False))
+        assert symlin.is_psd(g) == symlin.is_psd(SymmetricMatrix(g))
         skew = np.array([[1.0, 3.0], [-3.0, 1.0]])
         assert symlin.is_psd(skew).min_eigenvalue == pytest.approx(1.0)
         assert np.array_equal(skew, [[1.0, 3.0], [-3.0, 1.0]])
@@ -139,27 +164,38 @@ class TestNonFinite:
         [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize],
     )
     def test_refused(self, rows, fn):
-        for a in (np.array(rows), SymmetricMatrix(rows, check=False)):
+        for a in (np.array(rows), SymmetricMatrix(rows)):
             with pytest.raises(ValueError, match="entries must be finite"):
                 fn(a)
+
+
+class TestEmpty:
+    @pytest.mark.parametrize(
+        "fn",
+        [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize,
+         lambda a: symlin.hadamard(a, a), SymmetricMatrix],
+    )
+    def test_refused(self, fn):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            fn(np.zeros((0, 0)))
 
 
 class TestRealize:
     def test_gram_of_realize_roundtrip(self):
         rng = rng_for(2, 5)
         p = rng.standard_normal((5, 3))
-        g = SymmetricMatrix(p @ p.T, check=False)
+        g = SymmetricMatrix(p @ p.T)
         q = symlin.realize(g)
         assert np.max(np.abs(q @ q.T - g.array)) < 1e-8
 
     def test_psd_rank(self):
         rng = rng_for(3, 7)
         b = rng.standard_normal((7, 2))
-        assert symlin.psd_rank(SymmetricMatrix(b @ b.T, check=False)) == 2
+        assert symlin.psd_rank(SymmetricMatrix(b @ b.T)) == 2
 
     def test_realize_deterministic(self):
         m = random_symmetric(6, seed=4)
-        g = SymmetricMatrix(m.array @ m.array.T, check=False)
+        g = SymmetricMatrix(m.array @ m.array.T)
         assert np.array_equal(symlin.realize(g), symlin.realize(g))
 
 
@@ -168,8 +204,8 @@ class TestHadamard:
         rng = rng_for(4, 5)
         a = rng.standard_normal((5, 3))
         b = rng.standard_normal((5, 3))
-        ga = SymmetricMatrix(a @ a.T, check=False)
-        gb = SymmetricMatrix(b @ b.T, check=False)
+        ga = SymmetricMatrix(a @ a.T)
+        gb = SymmetricMatrix(b @ b.T)
         prod = symlin.hadamard(ga, gb)
         assert np.array_equal(prod.array, ga.array * gb.array)
         assert symlin.is_psd(prod).is_psd
