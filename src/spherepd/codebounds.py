@@ -413,14 +413,16 @@ def delsarte_lp(
         raise ValueError("grid must have at least 256 points")
     c = cos(theta)
     ts = np.linspace(-1.0, c, grid_size)
-    gvals = np.vstack(list(_homogeneous_upto(n, degree, ts, 1.0, 1)))  # G_1..G_degree
-
     # variables f_1..f_degree >= 0; grid rows sum_k G_k(t) f_k <= -1.
     # Solved via the dual (grid_size variables, degree rows), whose slack
     # basis is immediately feasible; the primal comes back as the duals.
+    # Its rows -G_1..-G_degree are written once, straight from the recurrence.
+    neg_g = np.empty((degree, grid_size))
+    for row, g in zip(neg_g, _homogeneous_upto(n, degree, ts, 1.0, 1)):
+        np.negative(g, out=row)
     res = solve_lp(
         c=-np.ones(grid_size),
-        a_ub=-gvals,
+        a_ub=neg_g,
         b_ub=np.ones(degree),
     )
     if res.status == "unbounded":  # no f >= 0 with f(t) <= -1 on the grid

@@ -5,6 +5,9 @@ The standard-form matrix is built once; each pivot keeps only the
 explicit basis inverse B^-1 and the basic values x_B.  Every column is
 priced with one product, (c_B B^-1) a - c, the entering column is
 B^-1 a_q, and the pivot is one rank-1 elimination on [B^-1 | x_B].
+Each phase allocates its buffers once and keeps c_B with the basis, so
+a pivot allocates no array storage, apart from the short tie list of
+Bland's rule.
 Phase 1 drives artificial variables out of the basis when the slack
 basis is not feasible; phase 2 optimizes the original objective.
 Dantzig pricing with a switch to Bland's rule guards against cycling.
@@ -13,6 +16,7 @@ Dantzig pricing with a switch to Bland's rule guards against cycling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -31,10 +35,14 @@ class LpResult:
     iterations: int
 
 
-def _pivot(bx: np.ndarray, d: np.ndarray, basis: np.ndarray, row: int, col: int):
-    """Column col enters at row; d = B^-1 a_col, bx = [B^-1 | x_B]."""
-    pivot_row = bx[row] / d[row]
-    bx -= np.outer(d, pivot_row)
+def _pivot(bx: np.ndarray, d: np.ndarray, basis: np.ndarray, row: int, col: int, work):
+    """Column col enters at row; d = B^-1 a_col, bx = [B^-1 | x_B].
+
+    work is scratch with one row more than bx, so a pivot allocates nothing.
+    """
+    pivot_row = np.divide(bx[row], d[row], out=work[-1])
+    np.multiply(d[:, None], pivot_row, out=work[:-1])
+    bx -= work[:-1]
     bx[row] = pivot_row
     basis[row] = col
 
@@ -47,32 +55,52 @@ def _iterate(
     ncols: int,
     maxiter: int,
 ) -> tuple[str, int]:
-    """Runs pivots until optimality; only the first ncols columns may enter."""
+    """Runs pivots until optimality; only the first ncols columns may enter.
+
+    Every buffer is allocated once per call, and the basic costs c_B are
+    updated with the basis.
+    """
+    nrows = a.shape[0]
+    binv, x_b = bx[:, :-1], bx[:, -1]
+    a_in, c_in = a[:, :ncols], cost[:ncols]
+    c_b = cost[basis]
+    y = np.empty(nrows)
+    # reduced costs z_j - c_j of the columns that may enter; a basic
+    # column past ncols (an artificial left in by phase 1) is zeroed in
+    # the tail, which is never read
+    priced = np.empty(a.shape[1])
+    cand = priced[:ncols]
+    improving = np.empty(ncols, dtype=bool)
+    d = np.empty(nrows)
+    positive = np.empty(nrows, dtype=bool)
+    ratios = np.empty(nrows)
+    work = np.empty((nrows + 1, nrows + 1))
+    bland_after = max(200, 10 * nrows)
     it = 0
-    bland_after = max(200, 10 * a.shape[0])
     while it < maxiter:
-        cand = (cost[basis] @ bx[:, :-1]) @ a[:, :ncols] - cost[:ncols]  # z_j - c_j
-        cand[basis[basis < ncols]] = 0.0
+        np.matmul(np.matmul(c_b, binv, out=y), a_in, out=cand)
+        cand -= c_in
+        priced[basis] = 0.0
         if it < bland_after:
-            col = int(np.argmax(cand))
+            col = int(cand.argmax())
             if cand[col] <= _TOL:
                 return "optimal", it
         else:  # Bland: first improving column
-            pos = np.flatnonzero(cand > _TOL)
-            if pos.size == 0:
+            col = int(np.greater(cand, _TOL, out=improving).argmax())
+            if not improving[col]:
                 return "optimal", it
-            col = int(pos[0])
-        d = bx[:, :-1] @ a[:, col]
-        ratios = np.full(a.shape[0], np.inf)
-        positive = d > _TOL
-        ratios[positive] = bx[positive, -1] / d[positive]
-        row = int(np.argmin(ratios))
-        if not np.isfinite(ratios[row]):
+        np.matmul(binv, a[:, col], out=d)
+        ratios.fill(np.inf)
+        np.divide(x_b, d, out=ratios, where=np.greater(d, _TOL, out=positive))
+        row = int(ratios.argmin())
+        ratio = ratios[row]
+        if not isfinite(ratio):
             return "unbounded", it
         if it >= bland_after:  # smallest basis index among ties
-            tie = np.flatnonzero(np.isclose(ratios, ratios[row], rtol=0, atol=1e-12))
-            row = int(tie[np.argmin(basis[tie])])
-        _pivot(bx, d, basis, row, col)
+            tie = np.flatnonzero(np.abs(ratios - ratio) <= 1e-12)
+            row = int(tie[basis[tie].argmin()])
+        _pivot(bx, d, basis, row, col, work)
+        c_b[row] = cost[col]
         it += 1
     return "iteration limit", it
 
@@ -134,10 +162,11 @@ def solve_lp(
         if cost1[basis] @ bx[:, -1] > 1e-7 * max(1.0, np.max(np.abs(b))):
             return LpResult("infeasible", None, None, None, None, total_it)
         # kick residual artificials out of the basis where possible
+        work = np.empty((nrows + 1, nrows + 1))
         for row in np.flatnonzero(basis >= nstruct):
             cols = np.flatnonzero(np.abs(bx[row, :-1] @ a[:, :nstruct]) > _TOL)
             if cols.size:
-                _pivot(bx, bx[:, :-1] @ a[:, cols[0]], basis, int(row), int(cols[0]))
+                _pivot(bx, bx[:, :-1] @ a[:, cols[0]], basis, int(row), int(cols[0]), work)
 
     # phase 2: artificials never enter
     cost2 = np.zeros(ncols)

@@ -28,16 +28,16 @@ DEFAULT_TOL = 1e-8
 
 class SymmetricMatrix:
     """A dense real symmetric matrix, read-only.  A SymmetricMatrix is reused;
-    other input is copied as float, kept as given if exactly symmetric, else
-    mirrored from its upper triangle if within 1e-10 of its largest finite
-    entry, else refused."""
+    other input is copied as float, kept as given if it equals its transpose
+    bit for bit, else mirrored from its upper triangle if within 1e-10 of its
+    largest finite entry, else refused."""
 
     def __init__(self, array):
         if isinstance(array, SymmetricMatrix):
             self._array = array.array
             return
         a = _square(np.array(array, dtype=float))
-        if not np.array_equal(a, a.T):
+        if not _bit_symmetric(a):
             # equal infinities and mirrored NaNs pass; any other non-finite gap fails
             scale = np.max(np.abs(a), initial=1.0, where=np.isfinite(a))
             if not np.isclose(a, a.T, rtol=0.0, atol=1e-10 * scale, equal_nan=True).all():
@@ -101,12 +101,18 @@ def _square(arr: np.ndarray) -> np.ndarray:
 
 def _as_array(a) -> np.ndarray:
     """The matrix to hand LAPACK, never to be written to: a SymmetricMatrix's
-    array, an exactly symmetric float array as given (bit for bit its
-    symmetric part, barring overflow), else the symmetric part."""
+    array, a float array equal to its transpose bit for bit as given (bit for
+    bit its symmetric part, barring overflow), else the symmetric part."""
     if isinstance(a, SymmetricMatrix):
         return a.array
     arr = _square(np.asarray(a, dtype=float))
-    return arr if np.array_equal(arr, arr.T) else 0.5 * (arr + arr.T)
+    return arr if _bit_symmetric(arr) else 0.5 * (arr + arr.T)
+
+
+def _bit_symmetric(arr: np.ndarray) -> bool:
+    """Whether the float matrix arr equals its transpose bit for bit, so that
+    mirrored zeros of opposite sign (equal as floats) do not pass."""
+    return bool((arr.view(np.uint64) == arr.T.view(np.uint64)).all())
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:

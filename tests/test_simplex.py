@@ -1,12 +1,60 @@
 """Two-phase simplex solver, validated against an independent reference."""
 
+from math import cos, pi
+
 import numpy as np
 import pytest
 
+from spherepd import simplex
+from spherepd.gegenbauer import _homogeneous_upto
 from spherepd.randgen import rng_for
 from spherepd.simplex import solve_lp
 
 scipy_opt = pytest.importorskip("scipy.optimize")
+
+
+def inequality_problem(seed):
+    rng = rng_for(0xF00D, seed)
+    nvar = int(rng.integers(1, 7))
+    nrow = int(rng.integers(1, 9))
+    c = rng.standard_normal(nvar)
+    a = rng.standard_normal((nrow, nvar))
+    b = rng.standard_normal(nrow)
+    return dict(c=c, a_ub=a, b_ub=b)
+
+
+def mixed_problem(seed):
+    rng = rng_for(0xBEEF, seed)
+    nvar = int(rng.integers(2, 7))
+    c = rng.standard_normal(nvar)
+    a_ub = rng.standard_normal((3, nvar))
+    b_ub = rng.uniform(0.5, 2.0, size=3)
+    a_eq = rng.standard_normal((1, nvar))
+    b_eq = rng.uniform(-1.0, 1.0, size=1)
+    return dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+def redundant_problem(seed):
+    # the third equality row is the sum of the first two, so the
+    # equality block is rank-deficient and one artificial stays basic
+    # at zero after phase 1
+    rng = rng_for(0xD0E5, seed)
+    nvar = int(rng.integers(3, 7))
+    e = rng.standard_normal((2, nvar))
+    x0 = rng.uniform(0.1, 1.0, size=nvar)
+    a_eq = np.vstack([e, e[0] + e[1]])
+    b_eq = a_eq @ x0
+    a_ub = rng.standard_normal((2, nvar))
+    b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, size=2)
+    c = rng.uniform(0.1, 1.0, size=nvar) * rng.choice([-1.0, 1.0], size=nvar)
+    return dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+def grid_problem(n, theta, degree, grid_size=4096):
+    """The dual LP that codebounds.delsarte_lp solves."""
+    ts = np.linspace(-1.0, cos(theta), grid_size)
+    gvals = np.vstack(list(_homogeneous_upto(n, degree, ts, 1.0, 1)))
+    return dict(c=-np.ones(grid_size), a_ub=-gvals, b_ub=np.ones(degree))
 
 
 class TestBasicProblems:
@@ -40,17 +88,20 @@ class TestBasicProblems:
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(2.0)
 
+    def test_iteration_limit(self):
+        # the (24, pi/3, 16) grid LP takes 149 pivots to its optimum
+        res = solve_lp(**grid_problem(24, pi / 3, 16), maxiter=5)
+        assert res.status == "iteration limit"
+        assert res.iterations == 5
+        assert res.x is None
+
 
 class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_inequality_problems(self, seed):
-        rng = rng_for(0xF00D, seed)
-        nvar = int(rng.integers(1, 7))
-        nrow = int(rng.integers(1, 9))
-        c = rng.standard_normal(nvar)
-        a = rng.standard_normal((nrow, nvar))
-        b = rng.standard_normal(nrow)
-        ours = solve_lp(c, a_ub=a, b_ub=b)
+        problem = inequality_problem(seed)
+        c, a, b = problem["c"], problem["a_ub"], problem["b_ub"]
+        ours = solve_lp(**problem)
         ref = scipy_opt.linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
         if ref.status == 0:
             assert ours.status == "optimal"
@@ -64,17 +115,11 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_mixed_problems(self, seed):
-        rng = rng_for(0xBEEF, seed)
-        nvar = int(rng.integers(2, 7))
-        c = rng.standard_normal(nvar)
-        a_ub = rng.standard_normal((3, nvar))
-        b_ub = rng.uniform(0.5, 2.0, size=3)
-        a_eq = rng.standard_normal((1, nvar))
-        b_eq = rng.uniform(-1.0, 1.0, size=1)
-        ours = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        problem = mixed_problem(seed)
+        ours = solve_lp(**problem)
         ref = scipy_opt.linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=(0, None), method="highs",
+            problem["c"], A_ub=problem["a_ub"], b_ub=problem["b_ub"],
+            A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
         )
         if ref.status == 0:
             assert ours.status == "optimal"
@@ -87,40 +132,24 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(60))
     def test_strong_duality(self, seed):
         # the same problems as test_random_inequality_problems
-        rng = rng_for(0xF00D, seed)
-        nvar = int(rng.integers(1, 7))
-        nrow = int(rng.integers(1, 9))
-        c = rng.standard_normal(nvar)
-        a = rng.standard_normal((nrow, nvar))
-        b = rng.standard_normal(nrow)
-        ours = solve_lp(c, a_ub=a, b_ub=b)
+        problem = inequality_problem(seed)
+        ours = solve_lp(**problem)
         if ours.status == "optimal":
-            assert abs(c @ ours.x - b @ ours.duals_ub) <= 1e-9
+            assert abs(problem["c"] @ ours.x - problem["b_ub"] @ ours.duals_ub) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_redundant_equality_rows(self, seed):
-        # the third equality row is the sum of the first two, so the
-        # equality block is rank-deficient and one artificial stays basic
-        # at zero after phase 1
-        rng = rng_for(0xD0E5, seed)
-        nvar = int(rng.integers(3, 7))
-        e = rng.standard_normal((2, nvar))
-        x0 = rng.uniform(0.1, 1.0, size=nvar)
-        a_eq = np.vstack([e, e[0] + e[1]])
-        b_eq = a_eq @ x0
-        a_ub = rng.standard_normal((2, nvar))
-        b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, size=2)
-        c = rng.uniform(0.1, 1.0, size=nvar) * rng.choice([-1.0, 1.0], size=nvar)
-        ours = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        problem = redundant_problem(seed)
+        ours = solve_lp(**problem)
         ref = scipy_opt.linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=(0, None), method="highs",
+            problem["c"], A_ub=problem["a_ub"], b_ub=problem["b_ub"],
+            A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
         )
         assert ref.status in (0, 3)
         if ref.status == 0:
             assert ours.status == "optimal"
             assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
-            assert np.allclose(a_eq @ ours.x, b_eq, atol=1e-7)
+            assert np.allclose(problem["a_eq"] @ ours.x, problem["b_eq"], atol=1e-7)
         else:
             assert ours.status == "unbounded"
 
@@ -151,3 +180,114 @@ class TestAgainstReference:
         assert res.status == "optimal"
         slack = b - a @ res.x
         assert np.max(np.abs(res.duals_ub * slack)) < 1e-7
+
+
+# The pivot loop as it stood before it kept its buffers across pivots,
+# copied word for word (only the names carry a _ref prefix).  The loop that
+# replaced it is meant to do the same floating-point operations in the same
+# order, so solve_lp must give the same pivots and the same bits with either.
+_TOL = 1e-9
+
+
+def _ref_pivot(bx: np.ndarray, d: np.ndarray, basis: np.ndarray, row: int, col: int):
+    """Column col enters at row; d = B^-1 a_col, bx = [B^-1 | x_B]."""
+    pivot_row = bx[row] / d[row]
+    bx -= np.outer(d, pivot_row)
+    bx[row] = pivot_row
+    basis[row] = col
+
+
+def _ref_iterate(
+    a: np.ndarray,
+    cost: np.ndarray,
+    bx: np.ndarray,
+    basis: np.ndarray,
+    ncols: int,
+    maxiter: int,
+) -> tuple[str, int]:
+    """Runs pivots until optimality; only the first ncols columns may enter."""
+    it = 0
+    bland_after = max(200, 10 * a.shape[0])
+    while it < maxiter:
+        cand = (cost[basis] @ bx[:, :-1]) @ a[:, :ncols] - cost[:ncols]  # z_j - c_j
+        cand[basis[basis < ncols]] = 0.0
+        if it < bland_after:
+            col = int(np.argmax(cand))
+            if cand[col] <= _TOL:
+                return "optimal", it
+        else:  # Bland: first improving column
+            pos = np.flatnonzero(cand > _TOL)
+            if pos.size == 0:
+                return "optimal", it
+            col = int(pos[0])
+        d = bx[:, :-1] @ a[:, col]
+        ratios = np.full(a.shape[0], np.inf)
+        positive = d > _TOL
+        ratios[positive] = bx[positive, -1] / d[positive]
+        row = int(np.argmin(ratios))
+        if not np.isfinite(ratios[row]):
+            return "unbounded", it
+        if it >= bland_after:  # smallest basis index among ties
+            tie = np.flatnonzero(np.isclose(ratios, ratios[row], rtol=0, atol=1e-12))
+            row = int(tie[np.argmin(basis[tie])])
+        _ref_pivot(bx, d, basis, row, col)
+        it += 1
+    return "iteration limit", it
+
+
+def _solve_with_basis(monkeypatch, problem, reference):
+    """solve_lp's result and its final basis, run by the reference loop if
+    reference is true and by the solver's own loop otherwise."""
+    iterate = _ref_iterate if reference else simplex._iterate
+    bases = []
+
+    def recording(a, cost, bx, basis, ncols, maxiter):
+        bases.append(basis)  # updated in place to the end of the solve
+        return iterate(a, cost, bx, basis, ncols, maxiter)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_iterate", recording)
+        if reference:  # the pivots that drive artificials out after phase 1
+            mp.setattr(simplex, "_pivot", lambda bx, d, basis, row, col, work:
+                       _ref_pivot(bx, d, basis, row, col))
+        res = simplex.solve_lp(**problem)
+    return res, bases[-1]
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+class TestSamePivotsAsReference:
+    def check(self, monkeypatch, problem):
+        ours, our_basis = _solve_with_basis(monkeypatch, problem, reference=False)
+        ref, ref_basis = _solve_with_basis(monkeypatch, problem, reference=True)
+        assert ours.status == ref.status
+        assert ours.iterations == ref.iterations
+        for field in ("x", "duals_ub", "duals_eq", "objective"):
+            assert _bits(getattr(ours, field)) == _bits(getattr(ref, field)), field
+        assert our_basis.tobytes() == ref_basis.tobytes()
+        return ours
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_inequality_problems(self, monkeypatch, seed):
+        self.check(monkeypatch, inequality_problem(seed))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_mixed_problems(self, monkeypatch, seed):
+        self.check(monkeypatch, mixed_problem(seed))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_redundant_equality_rows(self, monkeypatch, seed):
+        self.check(monkeypatch, redundant_problem(seed))
+
+    @pytest.mark.parametrize(
+        "n, theta, degree",
+        [(8, pi / 3, 11), (24, pi / 3, 16), (24, pi / 4, 18)],
+        ids=["8-60deg-11", "24-60deg-16", "24-45deg-18"],
+    )
+    def test_grid_problems(self, monkeypatch, n, theta, degree):
+        res = self.check(monkeypatch, grid_problem(n, theta, degree))
+        assert res.status == "optimal"
+        if theta == pi / 4:  # 1,611 pivots: the one that reaches Bland's rule
+            assert res.iterations > max(200, 10 * degree)

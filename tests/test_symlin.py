@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spherepd import symlin
+from spherepd import serialize, symlin
 from spherepd.randgen import rng_for
 from spherepd.symlin import SymmetricMatrix
 
@@ -50,6 +50,14 @@ class TestSymmetricMatrix:
         for a in (np.array([[-0.0, 1.5], [1.5, 2.0]]), np.array([[1.0, -0.0], [-0.0, 1.0]]),
                   random_symmetric(6, seed=12).array.copy()):
             assert SymmetricMatrix(a).array.tobytes() == a.tobytes()
+
+    def test_mirrored_zeros_of_opposite_sign_stored_alike(self):
+        # -0.0 == 0.0 as floats, so only a bitwise test sees that the two
+        # triangles disagree; such input is mirrored like any near-symmetric one
+        m = SymmetricMatrix([[1.0, -0.0], [0.0, 1.0]])
+        assert np.array_equal(np.signbit(m.array), np.signbit(m.array.T))
+        rows = [line.split(",") for line in serialize.matrix_to_csv(m).split()]
+        assert rows == [list(r) for r in zip(*rows)]
 
     def test_input_not_aliased(self):
         a = np.eye(3)
