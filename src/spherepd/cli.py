@@ -83,17 +83,18 @@ class UsageError(Exception):
 def parse_theta(text: str) -> float:
     """An angle in radians, given numerically or as a pi fraction literal.
 
-    Accepts plain floats ("1.0472"), "pi", "pi/3", and "2pi/5".
+    Accepts plain floats ("1.0472"), "pi", "pi/3", and "2pi/5"; a zero
+    denominator ("pi/0") is an input error.
     """
     s = text.strip().lower().replace(" ", "")
     match = re.fullmatch(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?", s)
-    if match:
+    try:
+        if not match:
+            return float(s)
         num = float(match.group(1)) if match.group(1) else 1.0
         den = float(match.group(2)) if match.group(2) else 1.0
         return num * pi / den
-    try:
-        return float(s)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse angle {text!r}") from None
 
 

@@ -338,19 +338,24 @@ def verify_nonpositive(coeffs, theta: float, tol: float = 1e-12) -> bool:
 
 
 def poly_max_on_interval(coeffs, lo: float, hi: float) -> float:
-    """Maximum of a polynomial on [lo, hi], from its critical points.
+    """Maximum of a polynomial on [lo, hi], from its critical points (see
+    _critical_points).  Empty or non-finite input raises ValueError."""
+    coeffs = _poly_coeffs(coeffs)
+    return _max_at(_critical_points(coeffs, lo, hi), coeffs)
 
-    The largest value at lo, at hi and at the real part of every root of
-    the derivative in (lo, hi), the eigenvalues of its companion matrix.
-    A complex root only adds a point, which cannot lower the result, so
-    the imaginary parts need no tolerance.  A tiny leading coefficient
+
+def _critical_points(coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """lo, hi and the real part of every root of the derivative in (lo, hi).
+
+    The roots are the eigenvalues of the derivative's companion matrix.  A
+    complex root only adds a point, which cannot lower the maximum, so the
+    imaginary parts need no tolerance.  A tiny leading coefficient
     spoils every eigenvalue (at 1e-30 relative a maximum of 1.7 was
     missed), so the derivative's top terms whose bounds on [lo, hi] sum
     under 2^-52 of the total are dropped first: about what rounding in
-    evaluating the polynomial moves.  Empty or non-finite input raises
-    ValueError.
+    evaluating the polynomial moves.  The constant term plays no part, so
+    the points hold for every polynomial that differs from coeffs in it.
     """
-    coeffs = _poly_coeffs(coeffs)
     if not (isfinite(lo) and isfinite(hi) and lo <= hi):
         raise ValueError(f"[{lo}, {hi}] is not a finite nonempty interval")
     deriv = np.polynomial.polynomial.polyder(coeffs)
@@ -359,7 +364,11 @@ def poly_max_on_interval(coeffs, lo: float, hi: float) -> float:
     if isfinite(tail[0]):
         deriv = deriv[: np.count_nonzero(tail > 2**-52 * tail[0]) or 1]
     crit = np.polynomial.polynomial.polyroots(deriv).real
-    ts = np.concatenate(([lo, hi], crit[(lo < crit) & (crit < hi)]))
+    return np.concatenate(([lo, hi], crit[(lo < crit) & (crit < hi)]))
+
+
+def _max_at(ts: np.ndarray, coeffs: np.ndarray) -> float:
+    """The polynomial's largest value at the points ts."""
     return float(np.max(np.polynomial.polynomial.polyval(ts, coeffs)))
 
 
@@ -441,7 +450,9 @@ def delsarte_lp(
         coeffs[: k + 1] += f_rest[k - 1] * np.asarray(coeffs_1d(n, k))
     coeffs[0] += 1.0  # f0 = 1
 
-    overshoot = max(poly_max_on_interval(coeffs, -1.0, c), 0.0)
+    # shrinking coeffs[0] leaves the critical points as they are
+    crit = _critical_points(coeffs, -1.0, c)
+    overshoot = max(_max_at(crit, coeffs), 0.0)
     f0 = 1.0
     if overshoot > 0.0:
         overshoot *= 1.0 + 1e-12
@@ -453,7 +464,7 @@ def delsarte_lp(
                 f"no usable certificate at {where}: grid leakage consumed the whole"
                 " constant term"
             )
-    if not verify_nonpositive(coeffs, theta, tol=1e-10):
+    if not _max_at(crit, coeffs) <= 1e-10:
         raise RuntimeError("post-hoc verification failed after shrinkage")
     checks.append("continuous nonpositivity verified")
 

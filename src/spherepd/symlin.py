@@ -18,7 +18,6 @@ __all__ = [
     "eigensystem",
     "is_psd",
     "hadamard",
-    "gram",
     "psd_rank",
     "realize",
 ]
@@ -28,21 +27,13 @@ DEFAULT_TOL = 1e-8
 
 class SymmetricMatrix:
     """A dense real symmetric matrix, read-only.  A SymmetricMatrix is reused;
-    other input is copied as float, kept as given if it equals its transpose
-    bit for bit, else mirrored from its upper triangle if within 1e-10 of its
-    largest finite entry, else refused."""
+    other input is copied as float and must meet the rule of _symmetric."""
 
     def __init__(self, array):
         if isinstance(array, SymmetricMatrix):
             self._array = array.array
             return
-        a = _square(np.array(array, dtype=float))
-        if not _bit_symmetric(a):
-            # equal infinities and mirrored NaNs pass; any other non-finite gap fails
-            scale = np.max(np.abs(a), initial=1.0, where=np.isfinite(a))
-            if not np.isclose(a, a.T, rtol=0.0, atol=1e-10 * scale, equal_nan=True).all():
-                raise ValueError("input matrix is not symmetric")
-            a = np.triu(a) + np.triu(a, 1).T
+        a = _symmetric(np.array(array, dtype=float))
         a.flags.writeable = False
         self._array = a
 
@@ -81,7 +72,6 @@ class PsdReport:
 
     min_eigenvalue: float
     matrix_scale: float
-    is_psd: bool
     tolerance_used: float
 
     @property
@@ -89,30 +79,37 @@ class PsdReport:
         """Smallest eigenvalue the test accepts: -tol * max(scale, 1)."""
         return -self.tolerance_used * max(self.matrix_scale, 1.0)
 
+    @property
+    def is_psd(self) -> bool:
+        """The verdict, read from the same threshold that reports print."""
+        return self.min_eigenvalue >= self.threshold
 
-def _square(arr: np.ndarray) -> np.ndarray:
-    """arr itself, if it is a square matrix of dimension >= 1."""
+
+def _symmetric(arr: np.ndarray) -> np.ndarray:
+    """The one rule for a float matrix: square with dimension >= 1, and arr
+    itself if it equals its transpose bit for bit (mirrored zeros of opposite
+    sign do not), else its upper triangle mirrored if within 1e-10 of its
+    largest finite entry, else refused."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("dimension must be >= 1")
-    return arr
+    if (arr.view(np.uint64) == arr.T.view(np.uint64)).all():
+        return arr
+    # equal infinities and mirrored NaNs pass; any other non-finite gap fails
+    scale = np.max(np.abs(arr), initial=1.0, where=np.isfinite(arr))
+    if not np.isclose(arr, arr.T, rtol=0.0, atol=1e-10 * scale, equal_nan=True).all():
+        raise ValueError("input matrix is not symmetric")
+    return np.triu(arr) + np.triu(arr, 1).T
 
 
 def _as_array(a) -> np.ndarray:
     """The matrix to hand LAPACK, never to be written to: a SymmetricMatrix's
-    array, a float array equal to its transpose bit for bit as given (bit for
-    bit its symmetric part, barring overflow), else the symmetric part."""
+    array, else a float array under the rule of _symmetric, not copied when
+    it equals its transpose bit for bit."""
     if isinstance(a, SymmetricMatrix):
         return a.array
-    arr = _square(np.asarray(a, dtype=float))
-    return arr if _bit_symmetric(arr) else 0.5 * (arr + arr.T)
-
-
-def _bit_symmetric(arr: np.ndarray) -> bool:
-    """Whether the float matrix arr equals its transpose bit for bit, so that
-    mirrored zeros of opposite sign (equal as floats) do not pass."""
-    return bool((arr.view(np.uint64) == arr.T.view(np.uint64)).all())
+    return _symmetric(np.asarray(a, dtype=float))
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -153,12 +150,7 @@ def _report(w: np.ndarray, tol: float) -> PsdReport:
         raise ValueError("tolerance must be nonnegative")
     scale = float(np.max(np.abs(w)))
     lo = float(w[0])
-    return PsdReport(
-        min_eigenvalue=lo,
-        matrix_scale=scale,
-        is_psd=lo >= -tol * max(scale, 1.0),
-        tolerance_used=tol,
-    )
+    return PsdReport(min_eigenvalue=lo, matrix_scale=scale, tolerance_used=tol)
 
 
 def _rank_mask(w: np.ndarray, tol: float) -> np.ndarray:
@@ -183,15 +175,6 @@ def hadamard(a, b) -> SymmetricMatrix:
     if aa.shape != bb.shape:
         raise ValueError(f"dimension mismatch: {aa.shape[0]} vs {bb.shape[0]}")
     return SymmetricMatrix(aa * bb)
-
-
-def gram(points) -> SymmetricMatrix:
-    """Gram matrix of a point set (rows of a 2-D array, or .coords)."""
-    coords = getattr(points, "coords", points)
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[0] == 0:
-        raise ValueError("expected a nonempty r x n array of points")
-    return SymmetricMatrix(coords @ coords.T)
 
 
 def psd_rank(a, tol: float = DEFAULT_TOL) -> int:

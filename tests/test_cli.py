@@ -29,6 +29,11 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_theta("tau/2")
 
+    @pytest.mark.parametrize("text", ["pi/0", "2pi/0.0"])
+    def test_theta_rejects_zero_denominator(self, text):
+        with pytest.raises(UsageError, match="cannot parse angle"):
+            parse_theta(text)
+
     def test_ranges(self):
         assert parse_range("3") == [3]
         assert parse_range("0..4") == [0, 1, 2, 3, 4]
@@ -419,6 +424,16 @@ class TestCodes:
 
     def test_requires_name_or_n(self, capsys):
         assert main(["codes", "--theta", "pi/2"]) == 2
+
+
+@pytest.mark.parametrize("command", ["codes", "bound"])
+def test_zero_denominator_angle_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 4, "theta": "pi/0", "degree": 4}))
+    argv = ["codes", "--n", "3", "--theta", "pi/0"] if command == "codes" else ["bound", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot parse angle 'pi/0'\n"
 
 
 class TestUsage:

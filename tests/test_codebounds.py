@@ -319,6 +319,23 @@ class TestDelsarteLp:
         want = np.vstack([eval_1d(n, k, ts) for k in range(1, 17)])
         assert (-seen[0]).tobytes() == want.tobytes()
 
+    def test_one_critical_point_solve(self, monkeypatch):
+        # shrinking the constant term leaves f' as it is, so the overshoot
+        # and the check after the shrink share one root solve
+        calls = []
+        polyroots = np.polynomial.polynomial.polyroots
+
+        def spy(c):
+            calls.append(len(c))
+            return polyroots(c)
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", spy)
+        cert = delsarte_lp(8, pi / 3, degree=11, grid_size=4096)
+        assert any(line.startswith("shrunk") for line in cert.verification)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert poly_max_on_interval(cert.coefficients, -1.0, cos(pi / 3)) <= 1e-10
+
     def test_certificate_recomputes_bound(self):
         cert = delsarte_lp(5, pi / 2, degree=6, grid_size=512)
         coeffs = np.array(cert.coefficients)

@@ -141,17 +141,53 @@ class TestIsPsd:
 
 
     def test_plain_arrays(self):
-        # an exactly symmetric array is read as it is; otherwise the
-        # symmetric part is tested, as before
+        # a plain array meets SymmetricMatrix's rule: one equal to its
+        # transpose bit for bit is read as it is, without a copy
         rng = rng_for(5, 6)
         b = rng.standard_normal((6, 3))
         g = b @ b.T
         g = np.triu(g) + np.triu(g, 1).T
         assert symlin._as_array(g) is g
         assert symlin.is_psd(g) == symlin.is_psd(SymmetricMatrix(g))
-        skew = np.array([[1.0, 3.0], [-3.0, 1.0]])
-        assert symlin.is_psd(skew).min_eigenvalue == pytest.approx(1.0)
-        assert np.array_equal(skew, [[1.0, 3.0], [-3.0, 1.0]])
+
+    def test_near_symmetric_plain_array_is_mirrored(self):
+        # one entry off by 1e-13 of the largest: the upper triangle is
+        # mirrored into a new array, as SymmetricMatrix stores it
+        rng = rng_for(6, 6)
+        b = rng.standard_normal((6, 6))
+        a = b + b.T
+        a[4, 1] += 1e-13 * np.max(np.abs(a))
+        assert a[4, 1] != a[1, 4]
+        given = a.copy()
+        got, want = symlin.is_psd(a), symlin.is_psd(SymmetricMatrix(a))
+        assert got.min_eigenvalue.hex() == want.min_eigenvalue.hex()
+        assert got.matrix_scale.hex() == want.matrix_scale.hex()
+        assert got.is_psd == want.is_psd
+        assert symlin._as_array(a).tobytes() == SymmetricMatrix(a).array.tobytes()
+        assert a.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize(
+        "fn",
+        [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize,
+         lambda a: symlin.hadamard(a, np.eye(2)), lambda a: symlin.hadamard(np.eye(2), a)],
+        ids=["eigenvalues", "eigensystem", "is_psd", "psd_rank", "realize", "hadamard-left",
+             "hadamard-right"],
+    )
+    def test_asymmetric_plain_array_refused(self, fn):
+        # its symmetric part is the identity, which would pass as PSD
+        with pytest.raises(ValueError, match="input matrix is not symmetric"):
+            fn(np.array([[1.0, 3.0], [-3.0, 1.0]]))
+
+    @pytest.mark.parametrize("s", [1.0, 5.0])
+    def test_verdict_at_threshold(self, s):
+        # the verdict is min_eigenvalue >= threshold: equality passes and
+        # one ulp lower fails
+        rep = symlin.is_psd(np.diag([-1e-8 * s, s]))
+        assert rep.min_eigenvalue == rep.threshold
+        assert rep.is_psd
+        below = symlin.is_psd(np.diag([np.nextafter(-1e-8 * s, -np.inf), s]))
+        assert below.threshold == rep.threshold
+        assert not below.is_psd
 
 
 NONFINITE = [
