@@ -18,7 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from math import cos, pi
+from math import pi
 
 import numpy as np
 
@@ -319,7 +319,7 @@ def cmd_codes(args) -> RunReport:
     ok = codebounds.code_audit(pts, theta)
     report.add(
         "angle audit", "pass" if ok else "fail",
-        metric=pts.max_inner_product(), tolerance=cos(theta) + 1e-12,
+        metric=pts.max_inner_product(), tolerance=codebounds._inner_product_cap(theta),
     )
     report.parameters["size"] = pts.size
     if args.out:

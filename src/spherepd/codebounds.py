@@ -60,6 +60,24 @@ class CertificateError(ValueError):
     """A certificate precondition failed; the message names the condition."""
 
 
+def _check_theta(theta: float) -> None:
+    """The one rule for a minimal angle: theta in (0, pi] with cos theta < 1.
+
+    NaN is refused; cos would read theta = 4 as 2 pi - 4; and at theta = 0,
+    or any theta <= 1.0536712127723507e-08 where cos theta rounds to 1.0,
+    the LP has no solution and a greedy packing accepts every point.
+    """
+    if not (0.0 < theta <= pi and cos(theta) < 1.0):
+        raise ValueError(f"theta must be in (0, pi] with cos(theta) < 1, got {theta}")
+
+
+def _inner_product_cap(theta: float) -> float:
+    """The largest inner product two points of a code with minimal angle
+    theta may have: cos theta, plus 1e-12 for rounding."""
+    _check_theta(theta)
+    return cos(theta) + 1e-12
+
+
 @dataclass(frozen=True, order=True)
 class PartitionPattern:
     """Weakly decreasing positive part sizes summing to d."""
@@ -168,12 +186,12 @@ def pattern_of_x(x, d: int, theta: float) -> PartitionPattern:
     x lists the entries x_ij for i < j in lexicographic order; each entry
     must lie in [-1, cos theta] or equal 1.
     """
+    cap = _inner_product_cap(theta)
     x = np.asarray(x, dtype=float).reshape(-1)
     pairs = _pair_index(d)
     if x.size != len(pairs):
         raise ValueError(f"need {len(pairs)} pairwise entries for d={d}")
-    c = cos(theta)
-    bad = [(i + 1, j + 1) for (i, j), v in zip(pairs, x) if c + 1e-12 < v < 1 - 1e-12]
+    bad = [(i + 1, j + 1) for (i, j), v in zip(pairs, x) if cap < v < 1 - 1e-12]
     if bad:
         raise ValueError(f"entries in the forbidden gap (cos theta, 1) at {bad}")
     entry = {p: v for p, v in zip(pairs, x)}
@@ -204,8 +222,7 @@ class CodeProblem:
     f0: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta < np.pi:
-            raise ValueError("theta must be in (0, pi)")
+        _check_theta(self.theta)
         if self.f0 <= 0:
             raise ValueError("constant term f0 must be positive")
         if self.m not in (0, 1, 2):
@@ -323,13 +340,6 @@ def _poly_coeffs(coeffs) -> np.ndarray:
     if not np.all(np.isfinite(coeffs)):
         raise ValueError(f"polynomial coefficients {coeffs.tolist()} are not all finite")
     return coeffs
-
-
-def _check_theta(theta: float) -> None:
-    """Refuse a minimal angle outside (0, pi], NaN included: cos would read
-    theta = 4 as 2 pi - 4, and at theta = 0 the LP has no solution."""
-    if not 0.0 < theta <= pi:
-        raise ValueError(f"theta must be in (0, pi], got {theta}")
 
 
 def verify_nonpositive(coeffs, theta: float, tol: float = 1e-12) -> bool:
@@ -652,22 +662,21 @@ def theorem61_bound(
 
 def code_audit(points: PointConfiguration, theta: float) -> bool:
     """True iff all pairwise inner products stay at or below cos theta."""
-    _check_theta(theta)
+    cap = _inner_product_cap(theta)
     points.require_unit()
-    return points.max_inner_product() <= cos(theta) + 1e-12
+    return points.max_inner_product() <= cap
 
 
 def greedy_code(n: int, theta: float, seed: int) -> PointConfiguration:
     """A reproducible (non-optimal) code built by greedy rejection packing.
 
-    n < 1 and theta outside (0, pi), NaN included, raise ValueError: at
-    theta = 0 or with no coordinates every point is accepted, so the
-    packing never ends.
+    n < 1 and an angle that _check_theta refuses raise ValueError: where
+    cos theta rounds to 1 or with no coordinates every point is accepted,
+    so the packing never ends.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < theta < np.pi:
-        raise ValueError(f"theta must be in (0, pi), got {theta}")
+    _check_theta(theta)
     c = cos(theta)
     rng = rng_for(seed, n)
     accepted: list[np.ndarray] = []

@@ -25,6 +25,7 @@ from math import comb, exp, lgamma, log, pi, prod, sqrt
 import numpy as np
 
 from .randgen import rng_for
+from .symlin import eigensystem
 
 __all__ = [
     "AdditionCoefficients",
@@ -245,9 +246,10 @@ def _gauss_jacobi(nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, np
     """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix of the monic Jacobi recurrence, the weights mu0 times the
-    squared first components of its eigenvectors, where mu0 is the integral
-    of the weight.  Used with alpha, beta >= 0.
+    Jacobi matrix of the monic Jacobi recurrence, built full and handed to
+    symlin.eigensystem, the weights mu0 times the squared first components
+    of its eigenvectors, where mu0 is the integral of the weight.  Used
+    with alpha, beta >= 0.
     """
     ab = alpha + beta
     j = np.arange(1, nodes, dtype=float)
@@ -256,7 +258,7 @@ def _gauss_jacobi(nodes: int, alpha: float, beta: float) -> tuple[np.ndarray, np
     diag[0] = (beta - alpha) / (ab + 2.0)
     diag[1:] = (beta**2 - alpha**2) / (s * (s + 2.0))
     off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1.0) * (s - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    x, vec = eigensystem(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
     mu0 = exp((ab + 1.0) * log(2.0) + lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(ab + 2.0))
     return x, mu0 * vec[0] ** 2
 

@@ -10,7 +10,12 @@ a pivot allocates no array storage, apart from the short tie list of
 Bland's rule.
 Phase 1 drives artificial variables out of the basis when the slack
 basis is not feasible; phase 2 optimizes the original objective.
-Dantzig pricing with a switch to Bland's rule guards against cycling.
+Pricing is Dantzig's rule.  Only while the simplex stalls, after
+_STALL_PIVOTS degenerate pivots in a row, does Bland's rule choose both
+the entering and the leaving column, which cannot cycle (Bland 1977);
+the first nondegenerate pivot returns to Dantzig's rule.  The objective
+improves strictly on every nondegenerate pivot, so a cycle could only
+lie inside a degenerate run, and the solver terminates.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import numpy as np
 __all__ = ["LpResult", "solve_lp"]
 
 _TOL = 1e-9
+# a pivot whose step ratio is at most _DEGENERATE leaves x_B nearly as it was;
+# Bland's rule runs while the last _STALL_PIVOTS pivots were all degenerate
+_DEGENERATE = 1e-12
+_STALL_PIVOTS = 21
 
 
 @dataclass
@@ -58,7 +67,7 @@ def _iterate(
     """Runs pivots until optimality; only the first ncols columns may enter.
 
     Every buffer is allocated once per call, and the basic costs c_B are
-    updated with the basis.
+    updated with the basis.  stall counts the degenerate pivots in a row.
     """
     nrows = a.shape[0]
     binv, x_b = bx[:, :-1], bx[:, -1]
@@ -75,13 +84,13 @@ def _iterate(
     positive = np.empty(nrows, dtype=bool)
     ratios = np.empty(nrows)
     work = np.empty((nrows + 1, nrows + 1))
-    bland_after = max(200, 10 * nrows)
-    it = 0
+    it = stall = 0
     while it < maxiter:
         np.matmul(np.matmul(c_b, binv, out=y), a_in, out=cand)
         cand -= c_in
         priced[basis] = 0.0
-        if it < bland_after:
+        bland = stall >= _STALL_PIVOTS
+        if not bland:
             col = int(cand.argmax())
             if cand[col] <= _TOL:
                 return "optimal", it
@@ -96,11 +105,12 @@ def _iterate(
         ratio = ratios[row]
         if not isfinite(ratio):
             return "unbounded", it
-        if it >= bland_after:  # smallest basis index among ties
+        if bland:  # smallest basis index among ties
             tie = np.flatnonzero(np.abs(ratios - ratio) <= 1e-12)
             row = int(tie[basis[tie].argmin()])
         _pivot(bx, d, basis, row, col, work)
         c_b[row] = cost[col]
+        stall = stall + 1 if ratio <= _DEGENERATE else 0
         it += 1
     return "iteration limit", it
 

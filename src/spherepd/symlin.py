@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra.
 
 Eigenvalues come from numpy's LAPACK symmetric eigensolvers (``eigvalsh``
-and ``eigh``); everything else in the library reduces its
-positive-semidefiniteness questions to this module.
+and ``eigh``), called here and nowhere else: the rest of the library
+reduces its positive-semidefiniteness questions, and the Jacobi matrices
+of its Gauss-Jacobi rules, to this module.
 """
 
 from __future__ import annotations

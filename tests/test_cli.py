@@ -425,6 +425,16 @@ class TestCodes:
     def test_requires_name_or_n(self, capsys):
         assert main(["codes", "--theta", "pi/2"]) == 2
 
+    @pytest.mark.parametrize("theta", ["pi/2", "1.1071487177940904"])
+    def test_tolerance_is_the_audit_cap(self, theta, capsys):
+        # the icosahedron's largest inner product is 1/sqrt(5) = cos(1.107...):
+        # one audit fails and one passes, each on the tolerance it prints
+        rc = main(["codes", "--name", "icosahedron", "--theta", theta])
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert check["tolerance"] == codebounds._inner_product_cap(parse_theta(theta))
+        passed = check["metric"] <= check["tolerance"]
+        assert (check["status"] == "pass") == passed == (rc == 0)
+
 
 @pytest.mark.parametrize("command", ["codes", "bound"])
 def test_zero_denominator_angle_exits_2(command, tmp_path, capsys):
@@ -480,6 +490,7 @@ class TestUsage:
             ["bound", "LP", "--theta", "4"],
             ["bound", "CERT", "--theta", "4"],
             ["codes", "--name", "icosahedron", "--theta", "nan"],
+            ["codes", "--n", "3", "--theta", "1e-300"],  # cos rounds to 1
         ],
     )
     def test_input_errors_exit_2(self, argv, tmp_path, capsys):

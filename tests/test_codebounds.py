@@ -265,23 +265,44 @@ def test_lp_without_certificate_is_value_error():
 
 
 class TestAngleRange:
-    """The LP bound, the certificate check and the audit take theta in (0, pi]."""
+    """Every function that takes a minimal angle meets _check_theta's rule:
+    theta in (0, pi] with cos theta < 1."""
 
-    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), 4.0, pi + 1e-9, float("inf")])
-    def test_out_of_range_is_input_error(self, theta):
-        calls = [
+    @staticmethod
+    def calls(theta):
+        return [
             lambda: delsarte_lp(4, theta, degree=4, grid_size=512),
             lambda: delsarte_bound([0.0, 1.0, 1.0], 4, theta),
             lambda: code_audit(named_code("icosahedron"), theta),
+            lambda: greedy_code(3, theta, seed=0),
+            lambda: CodeProblem(n=3, theta=theta, m=0, f=lambda g: 1.0, f0=1.0),
+            lambda: pattern_of_x([1.0, -1.0, -1.0], 3, theta),
         ]
-        for call in calls:
+
+    @pytest.mark.parametrize(
+        "theta",
+        # cos rounds to 1.0 at every theta up to 1.0536712127723507e-08
+        [0.0, -1.0, float("nan"), 4.0, pi + 1e-9, float("inf"), 1e-300, 1.05e-8],
+    )
+    def test_out_of_range_is_input_error(self, theta):
+        for call in self.calls(theta):
             with pytest.raises(ValueError, match="theta must be in") as info:
                 call()
             assert not isinstance(info.value, CertificateError)
 
+    def test_edge_where_cosine_leaves_one(self):
+        last = 1.0536712127723507e-08
+        assert cos(last) == 1.0
+        with pytest.raises(ValueError, match="theta must be in"):
+            cb._check_theta(last)
+        cb._check_theta(float(np.nextafter(last, 1.0)))
+
     def test_pi_is_valid(self):
+        for call in self.calls(pi):
+            call()
         assert code_audit(PointConfiguration(3, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), pi)
         assert delsarte_bound([1.0, 1.0], 4, pi) == pytest.approx(2.0, abs=1e-12)
+        assert greedy_code(3, pi, seed=0).size == 1  # no two points are antipodal
 
 
 class TestDelsarteLp:

@@ -1,7 +1,7 @@
 """One-dimensional and multivariate Gegenbauer polynomials."""
 
 import tracemalloc
-from math import comb, gamma, pi, sqrt
+from math import comb, exp, gamma, lgamma, log, pi, sqrt
 
 import numpy as np
 import pytest
@@ -496,6 +496,35 @@ class TestExpansion:
                 loop[k] = rest[k] / basis[k]
                 rest[: k + 1] -= loop[k] * basis
             assert np.array_equal(gg.gegenbauer_expansion(p, n), loop)
+
+
+def _gauss_jacobi_reference(nodes, alpha, beta):
+    """The Gauss-Jacobi rule as it stood before it went through
+    symlin.eigensystem, kept verbatim: numpy's eigh on the Jacobi matrix's
+    lower bidiagonal, which LAPACK reads as the symmetric matrix."""
+    ab = alpha + beta
+    j = np.arange(1, nodes, dtype=float)
+    s = 2.0 * j + ab
+    diag = np.empty(nodes)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta**2 - alpha**2) / (s * (s + 2.0))
+    off = np.sqrt(4.0 * j * (j + alpha) * (j + beta) * (j + ab) / (s**2 * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    mu0 = exp((ab + 1.0) * log(2.0) + lgamma(alpha + 1.0) + lgamma(beta + 1.0) - lgamma(ab + 2.0))
+    return x, mu0 * vec[0] ** 2
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("nodes", [16, 32])
+    def test_same_bits_as_direct_eigh(self, nodes):
+        # the rules _ball_quadrature asks for, p = (n - m - 2 + k + l) / 2 in
+        # half steps up to 40, with beta = p (m = 1) or beta = 0 (m = 2)
+        for p in np.arange(81) / 2.0:
+            for beta in (p, 0.0):
+                x, w = gg._gauss_jacobi(nodes, p, beta)
+                want_x, want_w = _gauss_jacobi_reference(nodes, p, beta)
+                assert x.tobytes() == want_x.tobytes(), (p, beta)
+                assert w.tobytes() == want_w.tobytes(), (p, beta)
 
 
 class TestOrthogonality:
