@@ -16,6 +16,10 @@ the entering and the leaving column, which cannot cycle (Bland 1977);
 the first nondegenerate pivot returns to Dantzig's rule.  The objective
 improves strictly on every nondegenerate pivot, so a cycle could only
 lie inside a degenerate run, and the solver terminates.
+The kept B^-1 is never refactorized, so before a basis is reported
+optimal its x is checked against the original rows and x >= 0, within
+1e-7 max(1, max|b|, max_i |a_i|.|x|); a basis that rounding has carried
+off them is reported "numerical", never "optimal".
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ _STALL_PIVOTS = 21
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration limit"
+    # "optimal" | "infeasible" | "unbounded" | "iteration limit" | "numerical"
+    # (the final basis violates a_ub.x <= b_ub, a_eq.x = b_eq or x >= 0)
+    status: str
     x: np.ndarray | None
     objective: float | None
     duals_ub: np.ndarray | None
@@ -160,6 +166,7 @@ def solve_lp(
     bx[:, :-1] = np.eye(nrows)
     bx[:, -1] = b
 
+    tol = 1e-7 * max(1.0, np.max(np.abs(b)))
     total_it = 0
     if art_rows.size:
         # phase 1: minimize the sum of artificials
@@ -169,7 +176,7 @@ def solve_lp(
         total_it += it
         if status != "optimal":
             return LpResult(status, None, None, None, None, total_it)
-        if cost1[basis] @ bx[:, -1] > 1e-7 * max(1.0, np.max(np.abs(b))):
+        if cost1[basis] @ bx[:, -1] > tol:
             return LpResult("infeasible", None, None, None, None, total_it)
         # kick residual artificials out of the basis where possible
         work = np.empty((nrows + 1, nrows + 1))
@@ -188,6 +195,16 @@ def solve_lp(
 
     x = np.zeros(ncols)
     x[basis] = bx[:, -1]
+    # a violation counts past phase 1's tolerance and past the rounding
+    # noise of a.x itself, 1e-7 max_i |a_i|.|x|, which is larger where x is
+    xs = x[:nvar]
+    violation = max(
+        np.max(-xs, initial=0.0),
+        np.max(a_ub @ xs - b_ub, initial=0.0),
+        np.max(np.abs(a_eq @ xs - b_eq), initial=0.0),
+    )
+    if violation > tol and violation > 1e-7 * np.max(np.abs(a[:, :nvar]) @ np.abs(xs)):
+        return LpResult("numerical", None, None, None, None, total_it)
     # duals from the final basis: solve B^T y = c_B, then undo the row flips
     try:
         y = np.linalg.solve(a[:, basis].T, cost2[basis])

@@ -644,17 +644,31 @@ class TestOrthogonality:
         small = peak(1 << 17)
         assert peak(1 << 20) - small < 1 << 20
 
-    @pytest.mark.parametrize(
-        "n,m,k,l", [(5, 1, 1, 2), (5, 3, 2, 4), (4, 0, 3, 3), (6, 1, 7, 0), (5, 2, 0, 0)]
-    )
+    MC_CONFIGS = [(5, 1, 1, 2), (5, 3, 2, 4), (4, 0, 3, 3), (6, 1, 7, 0), (5, 2, 0, 0)]
+
+    @pytest.mark.parametrize("n,m,k,l", MC_CONFIGS)
     @pytest.mark.parametrize("weighted", [False, True])
     def test_monte_carlo_chunk_bit_identical_to_two_passes(self, n, m, k, l, weighted):
-        # the in-place forms and the shared recurrence pass change no value:
-        # out-of-place d and e, and one _homogeneous call per degree
+        # 1234 rows, shorter than one block
+        self.check_chunk_against_two_passes(n, m, k, l, weighted, 1234)
+
+    @pytest.mark.parametrize("n,m,k,l", MC_CONFIGS)
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("size", [65536, 18928])
+    def test_monte_carlo_blocks_bit_identical_to_two_passes(self, n, m, k, l, weighted, size):
+        # 65536 rows are 16 whole blocks; 18928, the last chunk of 150 000
+        # samples, ends in a ragged one
+        self.check_chunk_against_two_passes(n, m, k, l, weighted, size)
+
+    @staticmethod
+    def check_chunk_against_two_passes(n, m, k, l, weighted, size):
+        # the block walk, the in-place forms and the shared recurrence pass
+        # change no value: whole-chunk draws, out-of-place d and e, and one
+        # _homogeneous call per degree
         f = (lambda u, v: 1.0 + 0.5 * u[:, 0] * v[:, 0]) if weighted and m else None
         rng = rng_for(9, n, m, k, l, 2)
-        gx = rng.standard_normal((1234, n))
-        gy = rng.standard_normal((1234, n))
+        gx = rng.standard_normal((size, n))
+        gy = rng.standard_normal((size, n))
         sx = 1.0 / np.einsum("ij,ij->i", gx, gx)
         sy = 1.0 / np.einsum("ij,ij->i", gy, gy)
         ux, uy = gx[:, :m], gy[:, :m]
@@ -663,8 +677,21 @@ class TestOrthogonality:
         expected = gg._homogeneous(n - m, k, d, e) * gg._homogeneous(n - m, l, d, e)
         if f is not None:
             expected *= f(ux * np.sqrt(sx)[:, None], uy * np.sqrt(sy)[:, None])
-        got = gg._mc_chunk(rng_for(9, n, m, k, l, 2), n, m, k, l, f, 1234)
+        got = gg._mc_chunk(rng_for(9, n, m, k, l, 2), n, m, k, l, f, size)
         assert np.array_equal(got, expected)
+
+    def test_monte_carlo_chunk_peak_memory(self):
+        # gx whole (2.5 MiB), the chunk's values (0.5 MiB) and one block's
+        # temporaries: about 3.5 MiB, where one pass over the chunk peaks
+        # at 8.0 MiB
+        rng = rng_for(9, 5, 3, 2, 4, 0)
+        tracemalloc.start()
+        try:
+            gg._mc_chunk(rng, 5, 3, 2, 4, None, gg._MC_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * (1 << 20)
 
     def test_monte_carlo_weight_sees_chunks_in_order(self):
         calls = []
