@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import cos, factorial, isfinite, lcm, pi, sin
+from math import cos, factorial, isfinite, lcm, pi
 
 import numpy as np
 
@@ -54,10 +54,10 @@ BRUTE_LIMIT = 10_000_000
 FLOAT_INT_LIMIT = 2**53  # every integer up to here is exact as a float
 # greedy_code stops after this many candidates in a row are rejected
 _GREEDY_MAX_REJECTS = 200
-# greedy_code refuses an angle whose volume bound on the code size exceeds
-# this: each accepted point is checked against all before it, so the cost
-# grows with the square of the size (a bound of 4,445 took 8 s at n = 3)
-_GREEDY_MAX_BOUND = 2500
+# greedy_code refuses a packing that would pass this many points: each
+# accepted point is checked against all before it, so the cost grows with
+# the square of the size
+_GREEDY_MAX_POINTS = 2500
 
 
 class CertificateError(ValueError):
@@ -672,55 +672,18 @@ def code_audit(points: PointConfiguration, theta: float) -> bool:
     return points.max_inner_product() <= cap
 
 
-def _cap_fraction(n: int, rho: float) -> float:
-    """sigma(rho): the fraction of the unit sphere in R^n within angle
-    rho <= pi/2 of a point.
-
-    With I_k = int_0^rho sin^k and J_k its value at rho = pi, the reduction
-    formula I_k = ((k-1) I_{k-2} - sin^{k-1}(rho) cos(rho)) / k and
-    J_k = (k-1)/k J_{k-2} give s_k = I_k / J_k as
-
-        s_k = s_{k-2} - sin^{k-1}(rho) cos(rho) / (k J_k),
-
-    from s_0 = rho/pi and s_1 = (1 - cos rho)/2 = sin^2(rho/2), which holds
-    no cancellation; sigma = s_{n-2}.  Each step subtracts a term below 1
-    from a value in [0, 1/2], so the rounding error stays within a few n
-    ulps, absolute.  On S^0 (n = 1) the cap holds one of the two points.
-    """
-    if n == 1:
-        return 0.5
-    sr, cr = sin(rho), cos(rho)
-    if n % 2 == 0:
-        s, j, p, lo = rho / pi, pi, sr, 2
-    else:
-        s, j, p, lo = sin(rho / 2) ** 2, 2.0, sr * sr, 3
-    for k in range(lo, n - 1, 2):
-        j *= (k - 1) / k
-        s -= p * cr / (k * j)
-        p *= sr * sr
-    return s
-
-
 def greedy_code(n: int, theta: float, seed: int) -> PointConfiguration:
     """A reproducible (non-optimal) code built by greedy rejection packing.
 
     n < 1 and an angle that _check_theta refuses raise ValueError: where
     cos theta rounds to 1 or with no coordinates every point is accepted,
-    so the packing never ends.  So does an angle whose volume bound
-    1/sigma(theta/2) exceeds _GREEDY_MAX_BOUND: the caps of angular radius
-    theta/2 about the points are disjoint, so no code has more points, and
-    a packing that size would run for many seconds.
+    so the packing never ends.  A packing that would accept more than
+    _GREEDY_MAX_POINTS points raises ValueError when it gets there; every
+    code of at most that many points is built in full.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_theta(theta)
-    sigma = _cap_fraction(n, theta / 2)
-    bound = 1.0 / sigma if sigma > 0.0 else float("inf")
-    if bound > _GREEDY_MAX_BOUND:
-        raise ValueError(
-            f"greedy code at n={n}, theta={theta} refused: its volume bound"
-            f" 1/sigma(theta/2) = {bound:.4g} exceeds {_GREEDY_MAX_BOUND} points"
-        )
     c = cos(theta)
     rng = rng_for(seed, n)
     accepted: list[np.ndarray] = []
@@ -729,6 +692,11 @@ def greedy_code(n: int, theta: float, seed: int) -> PointConfiguration:
         p = rng.standard_normal(n)
         p /= np.linalg.norm(p)
         if all(q @ p <= c for q in accepted):
+            if len(accepted) == _GREEDY_MAX_POINTS:
+                raise ValueError(
+                    f"greedy code at n={n}, theta={theta} refused: the packing"
+                    f" passed the cap of {_GREEDY_MAX_POINTS} points"
+                )
             accepted.append(p)
             rejects = 0
         else:

@@ -17,9 +17,10 @@ the first nondegenerate pivot returns to Dantzig's rule.  The objective
 improves strictly on every nondegenerate pivot, so a cycle could only
 lie inside a degenerate run, and the solver terminates.
 The kept B^-1 is never refactorized, so before a basis is reported
-optimal its x is checked against the original rows and x >= 0, within
-1e-7 max(1, max|b|, max_i |a_i|.|x|); a basis that rounding has carried
-off them is reported "numerical", never "optimal".
+optimal its x is checked against the original rows and x >= 0, each
+row i within max(1e-7 max(1, max|b|), 1e-10 |a_i|_1 max|x|); a basis
+that rounding has carried off them is reported "numerical", never
+"optimal".
 """
 
 from __future__ import annotations
@@ -195,16 +196,16 @@ def solve_lp(
 
     x = np.zeros(ncols)
     x[basis] = bx[:, -1]
-    # a violation counts past phase 1's tolerance and past the rounding
-    # noise of a.x itself, 1e-7 max_i |a_i|.|x|, which is larger where x is
+    # each row, x >= 0 included, is held to phase 1's tolerance or, where
+    # larger, to what rounding may leave in it: the kept B^-1 spreads its
+    # error over every entry of x, 1e-10 max|x| is allowed per entry, and
+    # row i turns that into at most 1e-10 |a_i|_1 max|x|
     xs = x[:nvar]
-    violation = max(
-        np.max(-xs, initial=0.0),
-        np.max(a_ub @ xs - b_ub, initial=0.0),
-        np.max(np.abs(a_eq @ xs - b_eq), initial=0.0),
-    )
-    if violation > tol and violation > 1e-7 * np.max(np.abs(a[:, :nvar]) @ np.abs(xs)):
-        return LpResult("numerical", None, None, None, None, total_it)
+    residual = np.concatenate([a_ub @ xs - b_ub, np.abs(a_eq @ xs - b_eq), -xs])
+    if np.any(residual > tol):
+        row_norms = np.concatenate([np.abs(a[:, :nvar]).sum(axis=1), np.ones(nvar)])
+        if np.any(residual > np.maximum(tol, 1e-10 * np.max(np.abs(xs)) * row_norms)):
+            return LpResult("numerical", None, None, None, None, total_it)
     # duals from the final basis: solve B^T y = c_B, then undo the row flips
     try:
         y = np.linalg.solve(a[:, basis].T, cost2[basis])

@@ -491,7 +491,7 @@ class TestUsage:
             ["bound", "CERT", "--theta", "4"],
             ["codes", "--name", "icosahedron", "--theta", "nan"],
             ["codes", "--n", "3", "--theta", "1e-300"],  # cos rounds to 1
-            ["codes", "--n", "3", "--theta", "0.01"],  # volume bound 160,000
+            ["codes", "--n", "3", "--theta", "0.01"],  # passes 2,500 points
         ],
     )
     def test_input_errors_exit_2(self, argv, tmp_path, capsys):

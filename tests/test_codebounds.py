@@ -574,31 +574,24 @@ class TestEstimateB:
 
 
 class TestCodes:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 24, 101])
-    def test_cap_fraction_matches_incomplete_beta(self, n):
-        # sigma(rho) = I_{sin^2 rho}((n-1)/2, 1/2) / 2 for rho <= pi/2
-        betainc = pytest.importorskip("scipy.special").betainc
-        for rho in np.linspace(1e-3, pi / 2, 40):
-            want = 0.5 * betainc((n - 1) / 2, 0.5, np.sin(rho) ** 2)
-            assert cb._cap_fraction(n, rho) == pytest.approx(want, rel=1e-10, abs=1e-15)
-
-    def test_cap_fraction_closed_forms(self):
-        assert cb._cap_fraction(1, 0.3) == 0.5
-        assert cb._cap_fraction(2, 0.3) == 0.3 / pi
-        assert cb._cap_fraction(3, 1e-4) == pytest.approx(np.sin(5e-5) ** 2, rel=1e-15)
-        for n in (2, 3, 4, 7, 1000):  # a hemisphere
-            assert cb._cap_fraction(n, pi / 2) == pytest.approx(0.5, rel=1e-12)
-
-    def test_greedy_refuses_a_large_volume_bound(self):
-        # theta = 0.01 at n = 3 allows 160,000 points; the packing never ended
-        with pytest.raises(ValueError, match="volume bound") as info:
+    def test_greedy_refuses_past_the_point_cap(self, monkeypatch):
+        # theta = 0.01 at n = 3 allows up to 160,000 points; the packing
+        # never ended.  A code of exactly the cap's size is still built.
+        full = greedy_code(4, pi / 3, seed=0)
+        monkeypatch.setattr(cb, "_GREEDY_MAX_POINTS", full.size)
+        assert np.array_equal(greedy_code(4, pi / 3, seed=0).coords, full.coords)
+        monkeypatch.setattr(cb, "_GREEDY_MAX_POINTS", full.size - 1)
+        with pytest.raises(ValueError, match=f"cap of {full.size - 1} points"):
+            greedy_code(4, pi / 3, seed=0)
+        monkeypatch.setattr(cb, "_GREEDY_MAX_POINTS", 40)
+        with pytest.raises(ValueError, match="cap of 40 points") as info:
             greedy_code(3, 0.01, seed=0)
         assert not isinstance(info.value, CertificateError)
-        assert 1.0 / cb._cap_fraction(3, 0.005) == pytest.approx(160000.3333, rel=1e-9)
 
-    def test_greedy_keeps_small_volume_bounds(self):
-        # (4, pi/12) has a volume bound of 2,108 and gives 558 points
-        assert 1.0 / cb._cap_fraction(4, pi / 24) < cb._GREEDY_MAX_BOUND
+    def test_greedy_keeps_codes_under_the_cap(self):
+        # high dimensions at pi/2 give a handful of points in milliseconds
+        assert greedy_code(20, pi / 2, seed=0).size <= 40
+        assert greedy_code(24, pi / 2, seed=0).size <= 48
         assert greedy_code(4, pi / 12, seed=0).size == 558
 
     def test_greedy_respects_angle(self):

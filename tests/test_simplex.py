@@ -377,3 +377,25 @@ class TestRowCheck:
         res = solve_lp([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
         assert res.status == "numerical"
         assert res.x is None and res.objective is None
+
+    def test_each_row_against_its_own_noise(self, monkeypatch):
+        # x1 <= 1 has |a_1|.|x| = 1, while 1e5 x2 - 1e5 x3 <= 0 has 2e5:
+        # a 1e-3 drift of x1 is far past row 1's rounding noise, though
+        # below 1e-7 of the largest |a_i|.|x| over all rows
+        real = simplex._iterate
+
+        def drift(a, cost, bx, basis, ncols, maxiter):
+            status, it = real(a, cost, bx, basis, ncols, maxiter)
+            bx[basis == 0, -1] += 1e-3
+            return status, it
+
+        problem = dict(
+            c=[-1.0, -1.0, 0.0],
+            a_ub=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1e5, -1e5], [0.0, 0.0, 1.0]],
+            b_ub=[1.0, 1.0, 0.0, 1.0],
+        )
+        res = solve_lp(**problem)
+        assert res.status == "optimal"
+        assert np.array_equal(res.x, [1.0, 1.0, 1.0])
+        monkeypatch.setattr(simplex, "_iterate", drift)
+        assert solve_lp(**problem).status == "numerical"
