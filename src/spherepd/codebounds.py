@@ -195,6 +195,8 @@ def pattern_of_x(x, d: int, theta: float) -> PartitionPattern:
     pairs = _pair_index(d)
     if x.size != len(pairs):
         raise ValueError(f"need {len(pairs)} pairwise entries for d={d}")
+    if not np.all(np.isfinite(x)):  # NaN passes every comparison below
+        raise ValueError("pairwise entries must be finite")
     bad = [(i + 1, j + 1) for (i, j), v in zip(pairs, x) if cap < v < 1 - 1e-12]
     if bad:
         raise ValueError(f"entries in the forbidden gap (cos theta, 1) at {bad}")
@@ -236,10 +238,8 @@ class CodeProblem:
 @dataclass(frozen=True)
 class BoundCertificate:
     bound: float
-    per_omega: dict
-    verification: tuple[str, ...]
-    coefficients: tuple[float, ...] = ()  # monomial basis, ascending powers
-    expansion: tuple[float, ...] = ()  # f_k in the orthogonal basis
+    coefficients: tuple[float, ...]  # monomial basis, ascending powers
+    expansion: tuple[float, ...]  # f_k in the orthogonal basis
 
 
 @dataclass(frozen=True)
@@ -424,9 +424,10 @@ def delsarte_lp(
     overshoot before the ratio is reported.  When no degree-bounded
     certificate exists on the grid, the dual is unbounded and this raises
     ValueError; so it does when the simplex stops at its iteration limit
-    or ends on a basis that rounding has carried off its rows ("numerical"),
-    or when the grid overshoot of the LP optimum is at least its constant
-    term, since then the grid yields no usable certificate.
+    or ends on a basis that rounding has carried off its rows or left
+    singular ("numerical"), or when the grid overshoot of the LP optimum
+    is at least its constant term, since then the grid yields no usable
+    certificate.
     """
     _check_theta(theta)
     if n < 2:
@@ -459,7 +460,6 @@ def delsarte_lp(
         raise ValueError(f"discretized program at {where} not solved: {res.status}")
     f_rest = np.maximum(-res.duals_ub, 0.0)
 
-    checks = [f"lp grid={grid_size} degree={degree} iterations={res.iterations}"]
     coeffs = np.zeros(degree + 1)
     for k in range(1, degree + 1):
         coeffs[: k + 1] += f_rest[k - 1] * np.asarray(coeffs_1d(n, k))
@@ -473,7 +473,6 @@ def delsarte_lp(
         overshoot *= 1.0 + 1e-12
         coeffs[0] -= overshoot
         f0 -= overshoot
-        checks.append(f"shrunk constant term by grid overshoot {overshoot:.3e}")
         if f0 <= 0:
             raise ValueError(
                 f"no usable certificate at {where}: grid leakage consumed the whole"
@@ -481,17 +480,9 @@ def delsarte_lp(
             )
     if not _max_at(crit, coeffs) <= 1e-10:
         raise RuntimeError("post-hoc verification failed after shrinkage")
-    checks.append("continuous nonpositivity verified")
 
-    f_at_one = float(np.sum(coeffs))
-    bound = f_at_one / f0
     return BoundCertificate(
-        bound=bound,
-        per_omega={
-            PartitionPattern((2,)): f_at_one,
-            PartitionPattern((1, 1)): 0.0,
-        },
-        verification=tuple(checks),
+        bound=float(np.sum(coeffs)) / f0,
         coefficients=tuple(coeffs),
         expansion=(f0, *(float(v) for v in f_rest)),
     )

@@ -128,9 +128,7 @@ def lambda_member(
     return MembershipReport(all(rep.is_psd for rep in reports.values()), reports)
 
 
-def s_lambda_member(
-    pair: FeasiblePair, m: int, d: int, tol: float = symlin.DEFAULT_TOL
-) -> bool:
+def s_lambda_member(pair: FeasiblePair, m: int, d: int) -> bool:
     """Level-m membership for every choice of m basis vectors out of n-1."""
     n = pair.n
     _check_level(n, m, 1)
@@ -141,23 +139,21 @@ def s_lambda_member(
         rest = [c for c in cols if c not in subset]
         u = pair.u[:, list(subset) + rest]
         permuted = FeasiblePair(pair.t, u, n)
-        if not lambda_member(permuted, m, d, tol).member:
+        if not lambda_member(permuted, m, d).member:
             return False
     return True
 
 
-def delta_member(pair: FeasiblePair, tol: float = symlin.DEFAULT_TOL) -> bool:
+def delta_member(pair: FeasiblePair) -> bool:
     """Membership in the realizable set: T - U U^T PSD and the quadratic
     coupling identity (t_ij - <u_i, u_j>)^2 = (1-|u_i|^2)(1-|u_j|^2)."""
     diff, e = _kernel_args(pair.t.array, pair.u)
-    if not symlin.is_psd(diff, tol).is_psd:
+    if not symlin.is_psd(diff).is_psd:
         return False
     return bool(np.max(np.abs(diff**2 - e)) <= IDENTITY_TOL)
 
 
-def reconstruct(
-    pair: FeasiblePair, tol: float = symlin.DEFAULT_TOL
-) -> tuple[PointConfiguration, np.ndarray]:
+def reconstruct(pair: FeasiblePair) -> tuple[PointConfiguration, np.ndarray]:
     """Recover unit points and an orthonormal basis from a realizable pair.
 
     Builds the fully augmented inner-product matrix (level 0), checks it
@@ -165,7 +161,7 @@ def reconstruct(
     with basis rows e_1..e_{n-1}; t_ij = <p_i, p_j> and u_ik = <p_i, e_k>
     hold within the realization tolerance.
     """
-    if not delta_member(pair, tol):
+    if not delta_member(pair):
         raise ValueError("pair is not in the realizable set")
     n, r = pair.n, pair.r
     x0 = augment(pair, 0).x
@@ -197,7 +193,7 @@ def euclid_kernel(points: PointConfiguration, m: int, k: int) -> SymmetricMatrix
     return SymmetricMatrix(_homogeneous(n - m, k, *d_e))
 
 
-def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix:
+def h_map(a, n: int, k: int) -> SymmetricMatrix:
     """Entrywise Gegenbauer map of a PSD matrix of rank at most n.
 
     Entry (i, j) is (a_ii a_jj)^(k/2) G_k(a_ij / sqrt(a_ii a_jj)),
@@ -208,7 +204,7 @@ def h_map(a, n: int, k: int, tol: float = symlin.DEFAULT_TOL) -> SymmetricMatrix
     arr = SymmetricMatrix(a).array
     if np.min(np.diag(arr)) < 0:
         raise ValueError("diagonal entries must be nonnegative")
-    rank = symlin.psd_rank(arr, tol)
+    rank = symlin.psd_rank(arr)
     if rank > n:
         raise ValueError(f"rank {rank} exceeds n = {n}; the PSD claim does not apply")
     e = np.outer(np.diag(arr), np.diag(arr))

@@ -196,8 +196,8 @@ def domain_gap(t: float, u, v) -> float:
     return float(e - d * d)
 
 
-def in_domain(t: float, u, v, tol: float = 1e-12) -> bool:
-    return domain_gap(t, u, v) >= -tol and float(np.dot(u, u)) <= 1.0 + tol
+def in_domain(t: float, u, v) -> bool:
+    return domain_gap(t, u, v) >= -1e-12 and float(np.dot(u, u)) <= 1.0 + 1e-12
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,6 @@ __all__ = [
     "polynomial_to_json",
     "polynomial_from_json",
     "certificate_to_csv",
-    "certificate_to_json",
 ]
 
 
@@ -123,21 +122,6 @@ def certificate_to_csv(cert: BoundCertificate) -> str:
     for k, fk in enumerate(cert.expansion):
         writer.writerow([k, repr(float(fk))])
     return buf.getvalue()
-
-
-def certificate_to_json(cert: BoundCertificate) -> str:
-    return json.dumps(
-        {
-            "bound": cert.bound,
-            "per_omega": {
-                "+".join(map(str, omega.parts)): value
-                for omega, value in cert.per_omega.items()
-            },
-            "verification": list(cert.verification),
-            "coefficients": list(cert.coefficients),
-            "expansion": list(cert.expansion),
-        }
-    )
 
 
 def _finite_matrix(m: SymmetricMatrix) -> SymmetricMatrix:

@@ -19,8 +19,8 @@ lie inside a degenerate run, and the solver terminates.
 The kept B^-1 is never refactorized, so before a basis is reported
 optimal its x is checked against the original rows and x >= 0, each
 row i within max(1e-7 max(1, max|b|), 1e-10 |a_i|_1 max|x|); a basis
-that rounding has carried off them is reported "numerical", never
-"optimal".
+that rounding has carried off them, or left singular, is reported
+"numerical", never "optimal".
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ _STALL_PIVOTS = 21
 @dataclass
 class LpResult:
     # "optimal" | "infeasible" | "unbounded" | "iteration limit" | "numerical"
-    # (the final basis violates a_ub.x <= b_ub, a_eq.x = b_eq or x >= 0)
+    # (the final basis violates a_ub.x <= b_ub, a_eq.x = b_eq or x >= 0, or
+    # is singular)
     status: str
     x: np.ndarray | None
     objective: float | None
@@ -209,8 +210,8 @@ def solve_lp(
     # duals from the final basis: solve B^T y = c_B, then undo the row flips
     try:
         y = np.linalg.solve(a[:, basis].T, cost2[basis])
-    except np.linalg.LinAlgError:
-        y = np.full(nrows, np.nan)
+    except np.linalg.LinAlgError:  # rounding has left the basis singular
+        return LpResult("numerical", None, None, None, None, total_it)
     y[flipped] *= -1.0
     return LpResult(
         status="optimal",

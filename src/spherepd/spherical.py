@@ -45,9 +45,9 @@ class PointConfiguration:
     def size(self) -> int:
         return self.coords.shape[0]
 
-    def require_unit(self, tol: float = 1e-12) -> "PointConfiguration":
+    def require_unit(self) -> "PointConfiguration":
         norms = np.linalg.norm(self.coords, axis=1)
-        if np.max(np.abs(norms - 1.0)) > tol:
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # written so that NaN fails
             raise ValueError("points are not on the unit sphere")
         return self
 

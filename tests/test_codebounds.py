@@ -149,6 +149,15 @@ class TestPatternOfX:
         with pytest.raises(ValueError, match="forbidden"):
             pattern_of_x([0.8, 0.0, 0.0], 3, pi / 3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_refused(self, bad):
+        # NaN fails both the gap test and the merge test, so it used to read
+        # as a pair of distinct points
+        with pytest.raises(ValueError, match="finite"):
+            pattern_of_x([bad], 2, pi / 3)
+        with pytest.raises(ValueError, match="finite"):
+            pattern_of_x([1.0, bad, 0.0], 3, pi / 3)
+
 
 class TestVerifyNonpositive:
     def test_t_times_t_plus_one(self):
@@ -352,10 +361,20 @@ class TestDelsarteLp:
 
         monkeypatch.setattr(np.polynomial.polynomial, "polyroots", spy)
         cert = delsarte_lp(8, pi / 3, degree=11, grid_size=4096)
-        assert any(line.startswith("shrunk") for line in cert.verification)
+        assert cert.expansion[0] < 1.0  # the constant term was shrunk
         assert len(calls) == 1
         monkeypatch.undo()
         assert poly_max_on_interval(cert.coefficients, -1.0, cos(pi / 3)) <= 1e-10
+
+    def test_singular_final_basis_refused(self, monkeypatch):
+        # a final basis that rounding has left singular gives no duals, so
+        # no certificate: the LP is not solved, which is an input error
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ValueError, match="not solved: numerical"):
+            delsarte_lp(8, pi / 3, degree=11, grid_size=4096)
 
     def test_certificate_recomputes_bound(self):
         cert = delsarte_lp(5, pi / 2, degree=6, grid_size=512)

@@ -362,6 +362,52 @@ class TestStallRule:
             assert (got.x, got.objective, got.duals_ub, got.duals_eq) == (None,) * 4
 
 
+class TestPhaseOneKickOut:
+    # both equality rows say x1 = x2, with b = 0: phase 1 ends at once with
+    # both artificials basic at zero, and the kick-out pivots x1 into the
+    # first equality row (row 1 after a <= row); the second is then all zero
+    # and keeps its artificial
+    EQ_ROWS = [[1.0, -1.0], [-1.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "problem, row, want",
+        [
+            (dict(c=[1.0, 1.0], a_eq=EQ_ROWS, b_eq=[0.0, 0.0]), 0, 0.0),
+            (dict(c=[-1.0, 0.0, 1.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[2.0],
+                  a_eq=[r + [0.0] for r in EQ_ROWS], b_eq=[0.0, 0.0]), 1, -1.0),
+        ],
+    )
+    def test_artificial_pivoted_out(self, monkeypatch, problem, row, want):
+        # pivots that run between the two phases are the kick-out's
+        events = []
+        real_iterate, real_pivot = simplex._iterate, simplex._pivot
+
+        def iterate(*args):
+            events.append("phase start")
+            out = real_iterate(*args)
+            events.append("phase end")
+            return out
+
+        def pivot(bx, d, basis, row, col, work):
+            events.append(("pivot", row, col))
+            real_pivot(bx, d, basis, row, col, work)
+
+        monkeypatch.setattr(simplex, "_iterate", iterate)
+        monkeypatch.setattr(simplex, "_pivot", pivot)
+        ours = solve_lp(**problem)
+        first_end = events.index("phase end")
+        between = events[first_end + 1 : events.index("phase start", first_end)]
+        assert between == [("pivot", row, 0)]
+        ref = scipy_opt.linprog(
+            problem["c"], A_ub=problem.get("a_ub"), b_ub=problem.get("b_ub"),
+            A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
+        )
+        assert ref.status == 0 and ref.fun == pytest.approx(want, abs=1e-12)
+        assert ours.status == "optimal"
+        assert ours.objective == pytest.approx(want, abs=1e-12)
+        assert np.allclose(np.asarray(problem["a_eq"]) @ ours.x, 0.0, atol=1e-12)
+
+
 class TestRowCheck:
     def test_numerical_status_from_a_drifted_basis(self, monkeypatch):
         # a basis whose x_B rounding has carried off a row is not optimal:
@@ -399,3 +445,14 @@ class TestRowCheck:
         assert np.array_equal(res.x, [1.0, 1.0, 1.0])
         monkeypatch.setattr(simplex, "_iterate", drift)
         assert solve_lp(**problem).status == "numerical"
+
+    def test_numerical_status_from_a_singular_basis(self, monkeypatch):
+        # the closing dual solve is the only factorization of the final
+        # basis; if it finds the basis singular there are no duals to give
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = solve_lp([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
+        assert res.status == "numerical"
+        assert (res.x, res.objective, res.duals_ub, res.duals_eq) == (None,) * 4

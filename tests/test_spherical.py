@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spherepd import constraints, spherical, symlin
+from spherepd.codebounds import code_audit
 from spherepd.gegenbauer import monomial_exponents, monomial_vector
 from spherepd.randgen import rng_for
 from spherepd.spherical import PointConfiguration, named_code, sample_sphere
@@ -14,6 +15,20 @@ class TestPointConfiguration:
         pts = PointConfiguration(3, [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         with pytest.raises(ValueError):
             pts.require_unit()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_is_not_on_the_sphere(self, bad):
+        # |norm - 1| > tol is False for NaN, so the check must be written
+        # the other way round; each caller then refuses the input
+        pts = PointConfiguration(3, [[bad, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="unit sphere"):
+            pts.require_unit()
+        with pytest.raises(ValueError, match="unit sphere"):
+            code_audit(pts, np.pi / 3)
+        with pytest.raises(ValueError, match="unit sphere"):
+            spherical.kernel_matrix(pts, 0, 2)
+        with pytest.raises(ValueError, match="unit sphere"):
+            constraints.pair_from_points(pts)
 
     def test_max_inner_product(self):
         pts = PointConfiguration(2, [[1.0, 0.0], [0.0, 1.0]])
