@@ -370,14 +370,14 @@ class TestPhaseOneKickOut:
     EQ_ROWS = [[1.0, -1.0], [-1.0, 1.0]]
 
     @pytest.mark.parametrize(
-        "problem, row, want",
+        "problem, kicked_row, want",
         [
             (dict(c=[1.0, 1.0], a_eq=EQ_ROWS, b_eq=[0.0, 0.0]), 0, 0.0),
             (dict(c=[-1.0, 0.0, 1.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[2.0],
                   a_eq=[r + [0.0] for r in EQ_ROWS], b_eq=[0.0, 0.0]), 1, -1.0),
         ],
     )
-    def test_artificial_pivoted_out(self, monkeypatch, problem, row, want):
+    def test_artificial_pivoted_out(self, monkeypatch, problem, kicked_row, want):
         # pivots that run between the two phases are the kick-out's
         events = []
         real_iterate, real_pivot = simplex._iterate, simplex._pivot
@@ -397,7 +397,7 @@ class TestPhaseOneKickOut:
         ours = solve_lp(**problem)
         first_end = events.index("phase end")
         between = events[first_end + 1 : events.index("phase start", first_end)]
-        assert between == [("pivot", row, 0)]
+        assert between == [("pivot", kicked_row, 0)]
         ref = scipy_opt.linprog(
             problem["c"], A_ub=problem.get("a_ub"), b_ub=problem.get("b_ub"),
             A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
