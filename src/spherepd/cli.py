@@ -65,6 +65,7 @@ class RunReport:
                 "seed": self.seed,
             },
             indent=2,
+            allow_nan=False,  # a metric is a finite number, a string or null
         )
 
     def to_csv(self) -> str:
@@ -170,9 +171,10 @@ def cmd_verify_orthogonality(args) -> RunReport:
     )
     est = orthogonality_mc(n, m, k, l, samples=args.samples, seed=args.seed)
     if k == l:
-        # the squared norm is positive; the check is a positivity margin
-        z = est.estimate / est.stderr if est.stderr > 0 else np.inf
-        report.add("norm positive", "pass" if z > 4 else "fail", metric=z, tolerance=4)
+        # the squared norm is positive; the check is a positivity margin,
+        # with no finite z where every sample agrees (k = 0, stderr 0)
+        z = est.estimate / est.stderr if est.stderr > 0 else None
+        report.add("norm positive", "pass" if z is None or z > 4 else "fail", metric=z, tolerance=4)
     else:
         z = abs(est.estimate) / est.stderr if est.stderr > 0 else 0.0
         report.add("mc z-score", "pass" if z < 4 else "fail", metric=z, tolerance=4)
@@ -261,7 +263,10 @@ def cmd_bound(args) -> RunReport:
         n = int(cfg["n"])
         theta = parse_theta(str(cfg["theta"])) if args.theta is None else parse_theta(args.theta)
         m = int(cfg.get("m", 0))
-        if m:
+        if "coeffs" in cfg and "f0" in cfg:
+            raise UsageError("a bound configuration holds coeffs or f0, not both")
+        counting = m != 0 or "f0" in cfg
+        if counting:
             f0, f_diag = float(cfg["f0"]), float(cfg["f_diag"])
             b_values = {
                 tuple(int(p) for p in key.split("+")): float(val)
@@ -275,10 +280,17 @@ def cmd_bound(args) -> RunReport:
         raise UsageError(f"bad bound configuration: {exc}") from None
     report = _new_report("bound", {"config": args.config, "n": n, "m": m}, args.seed)
     try:
-        if m == 0 and "coeffs" in cfg:
+        if counting:
+            result = codebounds.theorem61_bound(m, f0, f_diag, b_values)
+            bound = float(result.n_max)
+            report.add(
+                "counting inequality", "pass",
+                metric=result.residual_at_next, tolerance=0.0,
+            )
+        elif "coeffs" in cfg:
             bound = codebounds.delsarte_bound(cfg["coeffs"], n, theta)
             report.add("certificate verified", "pass", metric=bound)
-        elif m == 0:
+        else:
             cert = codebounds.delsarte_lp(n, theta, degree, grid)
             bound = cert.bound
             report.add("certificate verified", "pass", metric=bound)
@@ -287,13 +299,6 @@ def cmd_bound(args) -> RunReport:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(serialize.certificate_to_csv(cert))
                 report.parameters["certificate"] = path
-        else:
-            result = codebounds.theorem61_bound(m, f0, f_diag, b_values)
-            bound = float(result.n_max)
-            report.add(
-                "counting inequality", "pass",
-                metric=result.residual_at_next, tolerance=0.0,
-            )
     except codebounds.CertificateError as exc:
         report.add("certificate verified", "fail", metric=str(exc))
         return report
@@ -319,7 +324,9 @@ def cmd_codes(args) -> RunReport:
     ok = codebounds.code_audit(pts, theta)
     report.add(
         "angle audit", "pass" if ok else "fail",
-        metric=pts.max_inner_product(), tolerance=codebounds._inner_product_cap(theta),
+        # a one-point code has no pair, so no largest inner product
+        metric=pts.max_inner_product() if pts.size > 1 else None,
+        tolerance=codebounds._inner_product_cap(theta),
     )
     report.parameters["size"] = pts.size
     if args.out:

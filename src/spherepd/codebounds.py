@@ -670,26 +670,33 @@ def greedy_code(n: int, theta: float, seed: int) -> PointConfiguration:
     cos theta rounds to 1 or with no coordinates every point is accepted,
     so the packing never ends.  A packing that would accept more than
     _GREEDY_MAX_POINTS points raises ValueError when it gets there; every
-    code of at most that many points is built in full.
+    code of at most that many points is built in full.  A candidate p is
+    accepted when (accepted @ p).max() <= cos theta: one BLAS product, whose
+    rounding may differ in the last bit from a dot product per point.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_theta(theta)
     c = cos(theta)
     rng = rng_for(seed, n)
-    accepted: list[np.ndarray] = []
-    rejects = 0
+    # rows [:size] are the code; the array doubles when full, so it holds
+    # at most twice the code, not the cap, in any dimension
+    accepted = np.empty((16, n))
+    size = rejects = 0
     while rejects < _GREEDY_MAX_REJECTS:
         p = rng.standard_normal(n)
         p /= np.linalg.norm(p)
-        if all(q @ p <= c for q in accepted):
-            if len(accepted) == _GREEDY_MAX_POINTS:
+        if size == 0 or (accepted[:size] @ p).max() <= c:
+            if size == _GREEDY_MAX_POINTS:
                 raise ValueError(
                     f"greedy code at n={n}, theta={theta} refused: the packing"
                     f" passed the cap of {_GREEDY_MAX_POINTS} points"
                 )
-            accepted.append(p)
+            if size == len(accepted):
+                accepted = np.concatenate([accepted, np.empty_like(accepted)])
+            accepted[size] = p
+            size += 1
             rejects = 0
         else:
             rejects += 1
-    return PointConfiguration(n, np.array(accepted))
+    return PointConfiguration(n, accepted[:size])

@@ -67,6 +67,8 @@ class MembershipReport:
 
 def make_pair(t, u, n: int) -> FeasiblePair:
     """Validate and wrap candidate data; lists every violated condition."""
+    if n < 2:  # the levels run 0..n - 2
+        raise ValueError(f"a feasible pair needs n >= 2, got n={n}")
     tm = SymmetricMatrix(t)
     ua = np.asarray(u, dtype=float)
     r = tm.dim

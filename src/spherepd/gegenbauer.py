@@ -37,7 +37,6 @@ __all__ = [
     "in_domain",
     "monomial_exponents",
     "monomial_vector",
-    "z_outer",
     "addition_coefficients",
     "addition_term",
     "addition_residual",
@@ -223,17 +222,6 @@ def monomial_vector(x, d: int) -> np.ndarray:
     if m == 0:
         return np.ones(1)
     return np.prod(x ** np.array(monomial_exponents(m, d)), axis=1)
-
-
-def z_outer(u, v, d: int) -> np.ndarray:
-    """Outer product of the monomial vectors of u and v."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if u.size != v.size:
-        raise ValueError("u and v must have the same length")
-    zu = monomial_vector(u, d)
-    zv = monomial_vector(v, d)
-    return np.outer(zu, zv)
 
 
 def _gauss_legendre(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

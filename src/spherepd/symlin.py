@@ -38,17 +38,6 @@ class SymmetricMatrix:
         a.flags.writeable = False
         self._array = a
 
-    @classmethod
-    def from_upper(cls, dim: int, upper: np.ndarray) -> "SymmetricMatrix":
-        """Build from the row-major upper triangle (length dim*(dim+1)/2)."""
-        upper = np.asarray(upper, dtype=float)
-        if upper.size != dim * (dim + 1) // 2:
-            raise ValueError("upper triangle has wrong length")
-        a = np.zeros((dim, dim))
-        i, j = np.triu_indices(dim)
-        a[i, j] = a[j, i] = upper
-        return cls(a)
-
     @property
     def dim(self) -> int:
         return self._array.shape[0]
@@ -57,11 +46,6 @@ class SymmetricMatrix:
     def array(self) -> np.ndarray:
         """Read-only view of the full matrix."""
         return self._array
-
-    @property
-    def upper(self) -> np.ndarray:
-        """Row-major upper triangle, the canonical storage."""
-        return self._array[np.triu_indices(self.dim)]
 
     def __repr__(self) -> str:
         return f"SymmetricMatrix(dim={self.dim})"

@@ -7,7 +7,7 @@ from math import pi
 import pytest
 
 from spherepd import codebounds, serialize, spherical, symlin
-from spherepd.cli import UsageError, main, parse_range, parse_theta
+from spherepd.cli import RunReport, UsageError, main, parse_range, parse_theta
 from spherepd.constraints import make_pair, pair_from_points
 from spherepd.simplex import LpResult
 from spherepd.spherical import sample_sphere
@@ -137,6 +137,15 @@ class TestVerifyOrthogonality:
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][0]["name"] == "norm positive"
 
+    def test_constant_kernel_prints_null_z(self, capsys):
+        # G_0 = 1, so every sample agrees and the stderr is 0: no z to print
+        rc = main(["verify-orthogonality", "--n", "3", "--m", "0",
+                   "--k", "0", "--l", "0", "--samples", "1000"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        check = report["checks"][0]
+        assert (check["name"], check["status"], check["metric"]) == ("norm positive", "pass", None)
+
 
 class TestVerifyAddition:
     def test_residuals(self, capsys):
@@ -211,6 +220,18 @@ class TestHierarchy:
     def test_missing_file(self, capsys):
         assert main(["hierarchy", "/nonexistent/pair.json"]) == 2
 
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_pair_file_below_dimension_2(self, tmp_path, capsys, n):
+        # with n = 1 the levels 0..n - 2 are empty
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"n": n, "T": [[1.0]], "U": [[0.0] * max(n - 1, 0)]}))
+        assert main(["hierarchy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read pair file: a feasible pair needs n >= 2, got n={n}\n"
+        )
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_nonfinite_pair_file(self, tmp_path, capsys, bad):
         path = tmp_path / "pair.json"
@@ -255,6 +276,28 @@ class TestBound:
         rc = main(["bound", str(path)])
         assert rc == 0
         assert "bound:" in capsys.readouterr().out
+
+    def test_counting_config_at_level_0(self, tmp_path, capsys):
+        # "f0" selects the counting bound at m = 0 too; the degree-9 LP
+        # would print 6.000000000000003 and ignore f0 and f_diag
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 3, "theta": "pi/2", "m": 0, "f0": 0.25, "f_diag": 2.0}))
+        assert main(["bound", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("bound: 8.0\n")
+        report = json.loads(out.split("\n", 1)[1], parse_constant=_reject_constant)
+        assert [c["name"] for c in report["checks"]] == ["counting inequality"]
+        assert report["parameters"]["m"] == 0
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_coeffs_with_f0_exits_2(self, tmp_path, capsys, m):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "theta": "pi/2", "m": m, "coeffs": [0, 1, 1],
+                                    "f0": 0.25, "f_diag": 2.0}))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a bound configuration holds coeffs or f0, not both\n"
 
     def test_counting_float_tie_decided_exactly(self, tmp_path, capsys):
         # the float residual at N = 111 rounds below zero; the exact one is +137/2^56
@@ -412,6 +455,14 @@ class TestCodes:
         rc = main(["codes", "--name", "icosahedron", "--theta", "pi/2"])
         assert rc == 1
 
+    def test_one_point_code_prints_null_metric(self, capsys):
+        # at theta = pi no second point fits, and a lone point has no pair
+        assert main(["codes", "--n", "3", "--theta", "pi"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["parameters"]["size"] == 1
+        check = report["checks"][0]
+        assert (check["status"], check["metric"]) == ("pass", None)
+
     def test_greedy_with_out(self, tmp_path, capsys):
         out = tmp_path / "run.json"
         rc = main(["codes", "--n", "3", "--theta", "pi/2", "--seed", "3",
@@ -449,6 +500,12 @@ def test_zero_denominator_angle_exits_2(command, tmp_path, capsys):
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    def test_non_finite_metric_is_not_printed(self):
+        report = RunReport("codes", {})
+        report.add("angle audit", "pass", metric=float("-inf"))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.to_json()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -34,6 +34,11 @@ class TestMakePair:
         with pytest.raises(ValueError):
             make_pair(SymmetricMatrix(np.eye(3)), np.zeros((3, 5)), 4)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_dimension_guard(self, n):
+        with pytest.raises(ValueError, match=f"needs n >= 2, got n={n}$"):
+            make_pair(SymmetricMatrix(np.eye(1)), np.zeros((1, max(n - 1, 0))), n)
+
     def test_violations_listed(self):
         t = np.eye(3)
         t[0, 1] = t[1, 0] = 1.5

@@ -298,10 +298,6 @@ class TestMonomials:
                 loop = [np.prod(x ** np.array(e)) for e in gg.monomial_exponents(m, d)]
                 assert np.array_equal(gg.monomial_vector(x, d), loop)
 
-    def test_z_outer_rank_one(self):
-        zo = gg.z_outer([0.5], [0.25], 3)
-        assert np.linalg.matrix_rank(zo) == 1
-
 
 class TestAddition:
     def test_c0_is_one(self):
