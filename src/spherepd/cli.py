@@ -260,9 +260,9 @@ def cmd_bound(args) -> RunReport:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise UsageError("a bound configuration is a JSON object")
-        n = int(cfg["n"])
+        n = serialize.json_int(cfg, "n")
         theta = parse_theta(str(cfg["theta"])) if args.theta is None else parse_theta(args.theta)
-        m = int(cfg.get("m", 0))
+        m = serialize.json_int(cfg, "m", 0)
         if "coeffs" in cfg and "f0" in cfg:
             raise UsageError("a bound configuration holds coeffs or f0, not both")
         counting = m != 0 or "f0" in cfg
@@ -273,8 +273,8 @@ def cmd_bound(args) -> RunReport:
                 for key, val in cfg.get("B", {}).items()
             }
         elif "coeffs" not in cfg:
-            degree = args.degree if args.degree is not None else int(cfg.get("degree", 9))
-            grid = args.grid if args.grid is not None else int(cfg.get("grid", 4096))
+            degree = args.degree if args.degree is not None else serialize.json_int(cfg, "degree", 9)
+            grid = args.grid if args.grid is not None else serialize.json_int(cfg, "grid", 4096)
     except (OSError, KeyError, TypeError, AttributeError) as exc:
         # TypeError and AttributeError: a value of the wrong JSON type
         raise UsageError(f"bad bound configuration: {exc}") from None

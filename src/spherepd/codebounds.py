@@ -419,7 +419,7 @@ def delsarte_lp(
     The discretized program (minimize f(1) with f0 = 1, nonnegative
     expansion coefficients, and nonpositivity on a grid over
     [-1, cos theta]) is solved through its dual with the self-contained
-    two-phase revised simplex; the certificate is then re-verified on the
+    one-phase revised simplex; the certificate is then re-verified on the
     continuous interval, shrinking the constant term by any detected grid
     overshoot before the ratio is reported.  When no degree-bounded
     certificate exists on the grid, the dual is unbounded and this raises

@@ -24,7 +24,17 @@ __all__ = [
     "pair_to_json",
     "pair_from_json",
     "certificate_to_csv",
+    "json_int",
 ]
+
+
+def json_int(obj: dict, key: str, default: int | None = None) -> int:
+    """obj[key], or default where the key is absent and a default is given,
+    if it is a JSON integer; a float, string or boolean is refused."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def points_to_json(points: PointConfiguration) -> str:
@@ -33,7 +43,7 @@ def points_to_json(points: PointConfiguration) -> str:
 
 def points_from_json(text: str) -> PointConfiguration:
     obj = json.loads(text)
-    return PointConfiguration(int(obj["n"]), np.asarray(obj["points"], dtype=float))
+    return PointConfiguration(json_int(obj, "n"), np.asarray(obj["points"], dtype=float))
 
 
 def pair_to_json(pair: FeasiblePair) -> str:
@@ -44,7 +54,7 @@ def pair_to_json(pair: FeasiblePair) -> str:
 
 def pair_from_json(text: str) -> FeasiblePair:
     obj = json.loads(text)
-    return make_pair(obj["T"], np.asarray(obj["U"], dtype=float), int(obj["n"]))
+    return make_pair(obj["T"], np.asarray(obj["U"], dtype=float), json_int(obj, "n"))
 
 
 def certificate_to_csv(cert: BoundCertificate) -> str:

@@ -6,7 +6,7 @@ from math import pi
 
 import pytest
 
-from spherepd import codebounds, serialize, spherical, symlin
+from spherepd import codebounds, serialize, simplex, spherical, symlin
 from spherepd.cli import RunReport, UsageError, main, parse_range, parse_theta
 from spherepd.constraints import make_pair, pair_from_points
 from spherepd.simplex import LpResult
@@ -340,8 +340,8 @@ class TestBound:
         )
 
     def test_lp_iteration_limit_exits_2(self, tmp_path, capsys, monkeypatch):
-        def stopped(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, maxiter=50_000):
-            return LpResult("iteration limit", None, None, None, None, maxiter)
+        def stopped(c, a_ub, b_ub):
+            return LpResult("iteration limit", None, None, None, simplex._MAX_PIVOTS)
 
         monkeypatch.setattr(codebounds, "solve_lp", stopped)
         path = tmp_path / "cfg.json"
@@ -423,6 +423,31 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"n": 4, "theta": "pi/2", "m": 1.9, "f0": 0.25, "f_diag": 2.0,
+              "B": {"2+1": 2.0}}, "m"),
+            ({"n": 4, "theta": "pi/2", "m": True, "f0": 0.25, "f_diag": 2.0,
+              "B": {"2+1": 2.0}}, "m"),
+            ({"n": 8.7, "theta": "pi/3", "degree": 11, "grid": 4096}, "n"),
+            ({"n": "8", "theta": "pi/3", "degree": 11}, "n"),
+            ({"n": 8, "theta": "pi/3", "degree": 11.9}, "degree"),
+            ({"n": 8, "theta": "pi/3", "degree": "11"}, "degree"),
+            ({"n": 8, "theta": "pi/3", "degree": 11, "grid": 4096.5}, "grid"),
+        ],
+        ids=["m-float", "m-bool", "n-float", "n-string", "degree-float", "degree-string",
+             "grid-float"],
+    )
+    def test_non_integer_config_exits_2(self, tmp_path, capsys, cfg, key):
+        # int() would read "m": 1.9 and "m": true as the m = 1 bound
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be a JSON integer, got ")
 
     def test_tiny_certificate_refused(self, tmp_path, capsys):
         # t (1 + t) is positive on (0, 1/2]; its scale must not hide that

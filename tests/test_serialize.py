@@ -29,6 +29,15 @@ class TestPairFormat:
         assert np.allclose(back.t.array, pair.t.array)
         assert np.allclose(back.u, pair.u)
 
+    @pytest.mark.parametrize("n", [3.9, "3", True])
+    def test_rejects_non_integer_n(self, n):
+        pair = json.loads(serialize.pair_to_json(pair_from_points(sample_sphere(3, 4, seed=3))))
+        points = json.loads(serialize.points_to_json(sample_sphere(3, 4, seed=3)))
+        with pytest.raises(ValueError, match="n must be a JSON integer"):
+            serialize.pair_from_json(json.dumps(dict(pair, n=n)))
+        with pytest.raises(ValueError, match="n must be a JSON integer"):
+            serialize.points_from_json(json.dumps(dict(points, n=n)))
+
     def test_rejects_invalid_pair(self):
         text = json.dumps({"n": 3, "T": [[1.0, 2.0], [2.0, 1.0]], "U": [[0.0], [0.0]]})
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Two-phase simplex solver, validated against an independent reference."""
+"""One-phase simplex solver, validated against an independent reference."""
 
 from math import cos, pi
 
@@ -20,34 +20,7 @@ def inequality_problem(seed):
     c = rng.standard_normal(nvar)
     a = rng.standard_normal((nrow, nvar))
     b = rng.standard_normal(nrow)
-    return dict(c=c, a_ub=a, b_ub=b)
-
-
-def mixed_problem(seed):
-    rng = rng_for(0xBEEF, seed)
-    nvar = int(rng.integers(2, 7))
-    c = rng.standard_normal(nvar)
-    a_ub = rng.standard_normal((3, nvar))
-    b_ub = rng.uniform(0.5, 2.0, size=3)
-    a_eq = rng.standard_normal((1, nvar))
-    b_eq = rng.uniform(-1.0, 1.0, size=1)
-    return dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-
-
-def redundant_problem(seed):
-    # the third equality row is the sum of the first two, so the
-    # equality block is rank-deficient and one artificial stays basic
-    # at zero after phase 1
-    rng = rng_for(0xD0E5, seed)
-    nvar = int(rng.integers(3, 7))
-    e = rng.standard_normal((2, nvar))
-    x0 = rng.uniform(0.1, 1.0, size=nvar)
-    a_eq = np.vstack([e, e[0] + e[1]])
-    b_eq = a_eq @ x0
-    a_ub = rng.standard_normal((2, nvar))
-    b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, size=2)
-    c = rng.uniform(0.1, 1.0, size=nvar) * rng.choice([-1.0, 1.0], size=nvar)
-    return dict(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return dict(c=c, a_ub=a, b_ub=np.abs(b))  # b_ub >= 0, as solve_lp needs
 
 
 def grid_problem(n, theta, degree, grid_size=4096):
@@ -65,32 +38,56 @@ class TestBasicProblems:
         assert res.objective == pytest.approx(-1.0)
         assert res.x.sum() == pytest.approx(1.0)
 
-    def test_equality_constraint(self):
-        res = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[3.0])
-        assert res.status == "optimal"
-        assert res.x == pytest.approx([3.0, 0.0])
-
-    def test_infeasible(self):
-        res = solve_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
-        assert res.status == "infeasible"
-
     def test_unbounded(self):
         res = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[0.0])
         assert res.status == "unbounded"
 
-    def test_no_constraints(self):
-        assert solve_lp([1.0, 0.0]).status == "optimal"
-        assert solve_lp([-1.0]).status == "unbounded"
+    def test_negative_rhs_refused(self):
+        # x >= 2 written as -x <= -2: the slack basis is not feasible
+        with pytest.raises(ValueError, match="b_ub holds a negative entry"):
+            solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-2.0])
 
-    def test_negative_rhs(self):
-        # x >= 2 written as -x <= -2
-        res = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-2.0])
-        assert res.status == "optimal"
-        assert res.x[0] == pytest.approx(2.0)
+    @pytest.mark.parametrize(
+        "problem, name",
+        [
+            (dict(c=[1.0], a_ub=[[1.0]], b_ub=[np.nan]), "b_ub"),
+            (dict(c=[1.0], a_ub=[[1.0]], b_ub=[np.inf]), "b_ub"),
+            (dict(c=[1.0], a_ub=[[np.nan]], b_ub=[1.0]), "a_ub"),
+            (dict(c=[np.nan], a_ub=[[1.0]], b_ub=[1.0]), "c"),
+            (dict(c=[-np.inf, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]), "c"),
+        ],
+        ids=["b-nan", "b-inf", "a-nan", "c-nan", "c-inf"],
+    )
+    def test_non_finite_input_refused(self, problem, name):
+        # a NaN fails every comparison: in b_ub or a_ub it leaves no
+        # finite ratio, which reads as "unbounded", and in c it leaves no
+        # column optimal, so the solve runs to the pivot cap
+        with pytest.raises(ValueError, match=f"^{name} holds a non-finite entry"):
+            solve_lp(**problem)
 
-    def test_iteration_limit(self):
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            dict(c=[1.0, 1.0, 1.0], a_ub=[[1.0], [1.0]], b_ub=[1.0, 1.0]),
+            dict(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0, 1.0]),
+            dict(c=[1.0], a_ub=[[[1.0]]], b_ub=[1.0]),
+        ],
+        ids=["columns", "rows", "3-d"],
+    )
+    def test_misshaped_a_ub_refused(self, problem):
+        # a (2, 1) a_ub with 3 variables would broadcast across every
+        # structural column of the tableau
+        with pytest.raises(ValueError, match="a_ub has shape"):
+            solve_lp(**problem)
+
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            solve_lp([1.0], a_ub=np.zeros((0, 1)), b_ub=[])
+
+    def test_iteration_limit(self, monkeypatch):
         # the (24, pi/3, 16) grid LP takes 149 pivots to its optimum
-        res = solve_lp(**grid_problem(24, pi / 3, 16), maxiter=5)
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 5)
+        res = solve_lp(**grid_problem(24, pi / 3, 16))
         assert res.status == "iteration limit"
         assert res.iterations == 5
         assert res.x is None
@@ -108,25 +105,8 @@ class TestAgainstReference:
             assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
             assert np.allclose(ours.duals_ub, ref.ineqlin.marginals, atol=1e-7)
             assert np.all(a @ ours.x <= b + 1e-7)
-        elif ref.status == 2:
-            assert ours.status == "infeasible"
-        elif ref.status == 3:
-            assert ours.status == "unbounded"
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_mixed_problems(self, seed):
-        problem = mixed_problem(seed)
-        ours = solve_lp(**problem)
-        ref = scipy_opt.linprog(
-            problem["c"], A_ub=problem["a_ub"], b_ub=problem["b_ub"],
-            A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
-        )
-        if ref.status == 0:
-            assert ours.status == "optimal"
-            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
-        elif ref.status == 2:
-            assert ours.status == "infeasible"
-        elif ref.status == 3:
+        else:  # the slack basis is feasible, so HiGHS finds no infeasible one
+            assert ref.status == 3
             assert ours.status == "unbounded"
 
     @pytest.mark.parametrize("seed", range(60))
@@ -136,40 +116,6 @@ class TestAgainstReference:
         ours = solve_lp(**problem)
         if ours.status == "optimal":
             assert abs(problem["c"] @ ours.x - problem["b_ub"] @ ours.duals_ub) <= 1e-9
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_redundant_equality_rows(self, seed):
-        problem = redundant_problem(seed)
-        ours = solve_lp(**problem)
-        ref = scipy_opt.linprog(
-            problem["c"], A_ub=problem["a_ub"], b_ub=problem["b_ub"],
-            A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
-        )
-        assert ref.status in (0, 3)
-        if ref.status == 0:
-            assert ours.status == "optimal"
-            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
-            assert np.allclose(problem["a_eq"] @ ours.x, problem["b_eq"], atol=1e-7)
-        else:
-            assert ours.status == "unbounded"
-
-    @pytest.mark.parametrize(
-        "a_ub, b_ub, a_eq, b_eq",
-        [
-            (None, None, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),  # inconsistent rows
-            (None, None, [[1.0, 1.0]], [-1.0]),  # needs x < 0
-            ([[1.0, 0.0]], [2.0], [[1.0, -1.0], [0.0, 1.0]], [2.0, 1.0]),  # x = (3, 1)
-        ],
-    )
-    def test_infeasible_with_equality_rows(self, a_ub, b_ub, a_eq, b_eq):
-        c = [1.0, 1.0]
-        ref = scipy_opt.linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=(0, None), method="highs",
-        )
-        assert ref.status == 2
-        ours = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        assert ours.status == "infeasible"
 
     def test_duals_satisfy_complementary_slackness(self):
         rng = rng_for(0xCAFE, 1)
@@ -238,18 +184,17 @@ def _ref_iterate(
 def _solve_with_basis(monkeypatch, problem, reference):
     """solve_lp's result and its final basis, run by the reference loop if
     reference is true and by the solver's own loop otherwise."""
-    iterate = _ref_iterate if reference else simplex._iterate
+    own = simplex._iterate
     bases = []
 
-    def recording(a, cost, bx, basis, ncols, maxiter):
+    def recording(a, cost, bx, basis):
         bases.append(basis)  # updated in place to the end of the solve
-        return iterate(a, cost, bx, basis, ncols, maxiter)
+        if reference:
+            return _ref_iterate(a, cost, bx, basis, a.shape[1], simplex._MAX_PIVOTS)
+        return own(a, cost, bx, basis)
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "_iterate", recording)
-        if reference:  # the pivots that drive artificials out after phase 1
-            mp.setattr(simplex, "_pivot", lambda bx, d, basis, row, col, work:
-                       _ref_pivot(bx, d, basis, row, col))
         res = simplex.solve_lp(**problem)
     return res, bases[-1]
 
@@ -264,7 +209,7 @@ class TestSamePivotsAsReference:
         ref, ref_basis = _solve_with_basis(monkeypatch, problem, reference=True)
         assert ours.status == ref.status
         assert ours.iterations == ref.iterations
-        for field in ("x", "duals_ub", "duals_eq", "objective"):
+        for field in ("x", "duals_ub", "objective"):
             assert _bits(getattr(ours, field)) == _bits(getattr(ref, field)), field
         assert our_basis.tobytes() == ref_basis.tobytes()
         return ours
@@ -272,14 +217,6 @@ class TestSamePivotsAsReference:
     @pytest.mark.parametrize("seed", range(60))
     def test_random_inequality_problems(self, monkeypatch, seed):
         self.check(monkeypatch, inequality_problem(seed))
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_mixed_problems(self, monkeypatch, seed):
-        self.check(monkeypatch, mixed_problem(seed))
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_redundant_equality_rows(self, monkeypatch, seed):
-        self.check(monkeypatch, redundant_problem(seed))
 
     @pytest.mark.parametrize(
         "n, theta, degree",
@@ -312,8 +249,6 @@ def _bland_problems():
     ]
     return (
         [pytest.param(inequality_problem(s), id=f"inequality-{s}") for s in range(60)]
-        + [pytest.param(mixed_problem(s), id=f"mixed-{s}") for s in range(20)]
-        + [pytest.param(redundant_problem(s), id=f"redundant-{s}") for s in range(10)]
         + grid
     )
 
@@ -359,53 +294,7 @@ class TestStallRule:
         if got.status == "optimal":
             assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
         else:
-            assert (got.x, got.objective, got.duals_ub, got.duals_eq) == (None,) * 4
-
-
-class TestPhaseOneKickOut:
-    # both equality rows say x1 = x2, with b = 0: phase 1 ends at once with
-    # both artificials basic at zero, and the kick-out pivots x1 into the
-    # first equality row (row 1 after a <= row); the second is then all zero
-    # and keeps its artificial
-    EQ_ROWS = [[1.0, -1.0], [-1.0, 1.0]]
-
-    @pytest.mark.parametrize(
-        "problem, kicked_row, want",
-        [
-            (dict(c=[1.0, 1.0], a_eq=EQ_ROWS, b_eq=[0.0, 0.0]), 0, 0.0),
-            (dict(c=[-1.0, 0.0, 1.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[2.0],
-                  a_eq=[r + [0.0] for r in EQ_ROWS], b_eq=[0.0, 0.0]), 1, -1.0),
-        ],
-    )
-    def test_artificial_pivoted_out(self, monkeypatch, problem, kicked_row, want):
-        # pivots that run between the two phases are the kick-out's
-        events = []
-        real_iterate, real_pivot = simplex._iterate, simplex._pivot
-
-        def iterate(*args):
-            events.append("phase start")
-            out = real_iterate(*args)
-            events.append("phase end")
-            return out
-
-        def pivot(bx, d, basis, row, col, work):
-            events.append(("pivot", row, col))
-            real_pivot(bx, d, basis, row, col, work)
-
-        monkeypatch.setattr(simplex, "_iterate", iterate)
-        monkeypatch.setattr(simplex, "_pivot", pivot)
-        ours = solve_lp(**problem)
-        first_end = events.index("phase end")
-        between = events[first_end + 1 : events.index("phase start", first_end)]
-        assert between == [("pivot", kicked_row, 0)]
-        ref = scipy_opt.linprog(
-            problem["c"], A_ub=problem.get("a_ub"), b_ub=problem.get("b_ub"),
-            A_eq=problem["a_eq"], b_eq=problem["b_eq"], bounds=(0, None), method="highs",
-        )
-        assert ref.status == 0 and ref.fun == pytest.approx(want, abs=1e-12)
-        assert ours.status == "optimal"
-        assert ours.objective == pytest.approx(want, abs=1e-12)
-        assert np.allclose(np.asarray(problem["a_eq"]) @ ours.x, 0.0, atol=1e-12)
+            assert (got.x, got.objective, got.duals_ub) == (None,) * 3
 
 
 class TestRowCheck:
@@ -414,8 +303,8 @@ class TestRowCheck:
         # shift the kept x_B of a solved LP before the check reads it
         real = simplex._iterate
 
-        def drift(a, cost, bx, basis, ncols, maxiter):
-            status, it = real(a, cost, bx, basis, ncols, maxiter)
+        def drift(a, cost, bx, basis):
+            status, it = real(a, cost, bx, basis)
             bx[:, -1] += 1e-3
             return status, it
 
@@ -430,8 +319,8 @@ class TestRowCheck:
         # below 1e-7 of the largest |a_i|.|x| over all rows
         real = simplex._iterate
 
-        def drift(a, cost, bx, basis, ncols, maxiter):
-            status, it = real(a, cost, bx, basis, ncols, maxiter)
+        def drift(a, cost, bx, basis):
+            status, it = real(a, cost, bx, basis)
             bx[basis == 0, -1] += 1e-3
             return status, it
 
@@ -455,4 +344,4 @@ class TestRowCheck:
         monkeypatch.setattr(np.linalg, "solve", singular)
         res = solve_lp([-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
         assert res.status == "numerical"
-        assert (res.x, res.objective, res.duals_ub, res.duals_eq) == (None,) * 4
+        assert (res.x, res.objective, res.duals_ub) == (None,) * 3
