@@ -23,6 +23,52 @@ def inequality_problem(seed):
     return dict(c=c, a_ub=a, b_ub=np.abs(b))  # b_ub >= 0, as solve_lp needs
 
 
+def with_zero_equalities(c, a_ub, b_ub, a_eq):
+    """The LP with a_ub.x <= b_ub and a_eq.x = 0 in the form solve_lp takes:
+    each equality row becomes the two rows a_eq.x <= 0 and -a_eq.x <= 0."""
+    a_eq = np.atleast_2d(a_eq)
+    return dict(
+        c=np.asarray(c, dtype=float),
+        a_ub=np.vstack([a_ub, a_eq, -a_eq]),
+        b_ub=np.concatenate([b_ub, np.zeros(2 * len(a_eq))]),
+    )
+
+
+def mixed_parts(seed):
+    """c, a_ub, b_ub and one equality row a_eq, whose right side is 0."""
+    rng = rng_for(0xBEEF, seed)
+    nvar = int(rng.integers(2, 7))
+    c = rng.standard_normal(nvar)
+    a_ub = rng.standard_normal((3, nvar))
+    b_ub = rng.uniform(0.5, 2.0, size=3)
+    a_eq = rng.standard_normal((1, nvar))
+    return c, a_ub, b_ub, a_eq
+
+
+def redundant_parts(seed):
+    # the third equality row is the sum of the first two, so the equality
+    # block is rank-deficient; every equality row is orthogonal to x0 > 0,
+    # which is strictly feasible for the <= rows
+    rng = rng_for(0xD0E5, seed)
+    nvar = int(rng.integers(3, 7))
+    x0 = rng.uniform(0.1, 1.0, size=nvar)
+    e = rng.standard_normal((2, nvar))
+    e -= np.outer(e @ x0 / (x0 @ x0), x0)
+    a_eq = np.vstack([e, e[0] + e[1]])
+    a_ub = rng.standard_normal((2, nvar))
+    b_ub = np.abs(a_ub @ x0) + rng.uniform(0.1, 1.0, size=2)
+    c = rng.uniform(0.1, 1.0, size=nvar) * rng.choice([-1.0, 1.0], size=nvar)
+    return c, a_ub, b_ub, a_eq
+
+
+def mixed_problem(seed):
+    return with_zero_equalities(*mixed_parts(seed))
+
+
+def redundant_problem(seed):
+    return with_zero_equalities(*redundant_parts(seed))
+
+
 def grid_problem(n, theta, degree, grid_size=4096):
     """The dual LP that codebounds.delsarte_lp solves."""
     ts = np.linspace(-1.0, cos(theta), grid_size)
@@ -38,11 +84,27 @@ class TestBasicProblems:
         assert res.objective == pytest.approx(-1.0)
         assert res.x.sum() == pytest.approx(1.0)
 
+    def test_equality_constraint(self):
+        # x1 = x2 as the rows x1 - x2 <= 0 and x2 - x1 <= 0, with x1 + x2 <= 2
+        res = solve_lp(**with_zero_equalities([-1.0, 0.0], [[1.0, 1.0]], [2.0], [[1.0, -1.0]]))
+        assert res.status == "optimal"
+        assert res.x == pytest.approx([1.0, 1.0])
+        assert res.objective == pytest.approx(-1.0)
+
+    def test_infeasible(self):
+        # x <= 1 and x >= 2: with b_ub >= 0 the point x = 0 is feasible, so
+        # an infeasible LP needs a negative entry, which is refused
+        ref = scipy_opt.linprog([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0],
+                                bounds=(0, None), method="highs")
+        assert ref.status == 2
+        with pytest.raises(ValueError, match="b_ub holds a negative entry"):
+            solve_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
+
     def test_unbounded(self):
         res = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[0.0])
         assert res.status == "unbounded"
 
-    def test_negative_rhs_refused(self):
+    def test_negative_rhs(self):
         # x >= 2 written as -x <= -2: the slack basis is not feasible
         with pytest.raises(ValueError, match="b_ub holds a negative entry"):
             solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-2.0])
@@ -80,7 +142,7 @@ class TestBasicProblems:
         with pytest.raises(ValueError, match="a_ub has shape"):
             solve_lp(**problem)
 
-    def test_no_rows_refused(self):
+    def test_no_constraints(self):
         with pytest.raises(ValueError, match="at least one row"):
             solve_lp([1.0], a_ub=np.zeros((0, 1)), b_ub=[])
 
@@ -116,6 +178,52 @@ class TestAgainstReference:
         ours = solve_lp(**problem)
         if ours.status == "optimal":
             assert abs(problem["c"] @ ours.x - problem["b_ub"] @ ours.duals_ub) <= 1e-9
+
+    def check_zero_equalities(self, c, a_ub, b_ub, a_eq):
+        # HiGHS is given the equality rows as such, solve_lp their <= pairs
+        ours = solve_lp(**with_zero_equalities(c, a_ub, b_ub, a_eq))
+        ref = scipy_opt.linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(len(a_eq)),
+            bounds=(0, None), method="highs",
+        )
+        assert ref.status in (0, 3)  # x = 0 is feasible
+        if ref.status == 0:
+            assert ours.status == "optimal"
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert np.allclose(a_eq @ ours.x, 0.0, atol=1e-7)
+        else:
+            assert ours.status == "unbounded"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_mixed_problems(self, seed):
+        self.check_zero_equalities(*mixed_parts(seed))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_redundant_equality_rows(self, seed):
+        self.check_zero_equalities(*redundant_parts(seed))
+
+    @pytest.mark.parametrize(
+        "a_ub, b_ub, a_eq, b_eq",
+        [
+            (None, None, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),  # inconsistent rows
+            (None, None, [[1.0, 1.0]], [-1.0]),  # needs x < 0
+            ([[1.0, 0.0]], [2.0], [[1.0, -1.0], [0.0, 1.0]], [2.0, 1.0]),  # x = (3, 1)
+        ],
+    )
+    def test_infeasible_with_equality_rows(self, a_ub, b_ub, a_eq, b_eq):
+        # written as <= rows, each of these LPs has a negative right side,
+        # as every infeasible one must: x = 0 satisfies any rows with b >= 0
+        c = [1.0, 1.0]
+        ref = scipy_opt.linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=(0, None), method="highs",
+        )
+        assert ref.status == 2
+        a_eq, b_eq = np.asarray(a_eq), np.asarray(b_eq)
+        rows = [a_eq, -a_eq] + ([np.asarray(a_ub)] if a_ub is not None else [])
+        rhs = [b_eq, -b_eq] + ([np.asarray(b_ub)] if b_ub is not None else [])
+        with pytest.raises(ValueError, match="b_ub holds a negative entry"):
+            solve_lp(c, a_ub=np.vstack(rows), b_ub=np.concatenate(rhs))
 
     def test_duals_satisfy_complementary_slackness(self):
         rng = rng_for(0xCAFE, 1)
@@ -218,6 +326,14 @@ class TestSamePivotsAsReference:
     def test_random_inequality_problems(self, monkeypatch, seed):
         self.check(monkeypatch, inequality_problem(seed))
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_mixed_problems(self, monkeypatch, seed):
+        self.check(monkeypatch, mixed_problem(seed))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_redundant_equality_rows(self, monkeypatch, seed):
+        self.check(monkeypatch, redundant_problem(seed))
+
     @pytest.mark.parametrize(
         "n, theta, degree",
         [(8, pi / 3, 11), (24, pi / 3, 16), (24, pi / 4, 18)],
@@ -249,6 +365,8 @@ def _bland_problems():
     ]
     return (
         [pytest.param(inequality_problem(s), id=f"inequality-{s}") for s in range(60)]
+        + [pytest.param(mixed_problem(s), id=f"mixed-{s}") for s in range(20)]
+        + [pytest.param(redundant_problem(s), id=f"redundant-{s}") for s in range(10)]
         + grid
     )
 
