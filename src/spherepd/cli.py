@@ -34,6 +34,9 @@ from .gegenbauer import (
 __all__ = ["RunReport", "main"]
 
 USAGE_ERROR = 2
+# every key a bound configuration may hold; any other is refused, so a
+# misspelled key is not silently replaced by its default
+BOUND_KEYS = frozenset({"n", "theta", "m", "degree", "grid", "coeffs", "f0", "f_diag", "B"})
 
 
 @dataclass
@@ -217,7 +220,8 @@ def cmd_hierarchy(args) -> RunReport:
     try:
         with open(args.pair, encoding="utf-8") as fh:
             pair = serialize.pair_from_json(fh.read())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # TypeError: a value of the wrong JSON type, such as an object for T
         raise UsageError(f"cannot read pair file: {exc}") from None
     d = args.degree
     report = _new_report(
@@ -260,6 +264,9 @@ def cmd_bound(args) -> RunReport:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise UsageError("a bound configuration is a JSON object")
+        unknown = ", ".join(map(repr, sorted(set(cfg) - BOUND_KEYS)))
+        if unknown:
+            raise UsageError(f"unknown key in bound configuration: {unknown}")
         n = serialize.json_int(cfg, "n")
         theta = parse_theta(str(cfg["theta"])) if args.theta is None else parse_theta(args.theta)
         m = serialize.json_int(cfg, "m", 0)

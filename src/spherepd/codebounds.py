@@ -38,7 +38,6 @@ __all__ = [
     "pattern_of",
     "q_omega",
     "q_omega_brute",
-    "pattern_of_x",
     "estimate_B",
     "verify_nonpositive",
     "poly_max_on_interval",
@@ -182,34 +181,6 @@ def q_omega_brute(omega: PartitionPattern, big_n: int) -> int:
 
 def _pair_index(d: int):
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
-def pattern_of_x(x, d: int, theta: float) -> PartitionPattern:
-    """Collision pattern of a pairwise-entry vector in the feasible set.
-
-    x lists the entries x_ij for i < j in lexicographic order; each entry
-    must lie in [-1, cos theta] or equal 1.
-    """
-    cap = _inner_product_cap(theta)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pairs = _pair_index(d)
-    if x.size != len(pairs):
-        raise ValueError(f"need {len(pairs)} pairwise entries for d={d}")
-    if not np.all(np.isfinite(x)):  # NaN passes every comparison below
-        raise ValueError("pairwise entries must be finite")
-    bad = [(i + 1, j + 1) for (i, j), v in zip(pairs, x) if cap < v < 1 - 1e-12]
-    if bad:
-        raise ValueError(f"entries in the forbidden gap (cos theta, 1) at {bad}")
-    entry = {p: v for p, v in zip(pairs, x)}
-    j_vec = []
-    for k in range(d):
-        jk = k
-        for i in range(k):
-            if entry[(i, k)] >= 1 - 1e-12:
-                jk = j_vec[i]
-                break
-        j_vec.append(jk)
-    return pattern_of(j_vec)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ exactly the realizable ones and can be reconstructed as actual points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -28,7 +26,6 @@ __all__ = [
     "make_pair",
     "augment",
     "lambda_member",
-    "s_lambda_member",
     "delta_member",
     "reconstruct",
     "euclid_kernel",
@@ -38,7 +35,6 @@ __all__ = [
 
 IDENTITY_TOL = 1e-9
 RANK_TOL = 1e-7
-SUBSET_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,22 +124,6 @@ def lambda_member(
     aug = augment(pair, m)
     reports = dict(enumerate(_psd_reports(pair.n - m, aug.x.array, aug.v, 1, d, tol), 1))
     return MembershipReport(all(rep.is_psd for rep in reports.values()), reports)
-
-
-def s_lambda_member(pair: FeasiblePair, m: int, d: int) -> bool:
-    """Level-m membership for every choice of m basis vectors out of n-1."""
-    n = pair.n
-    _check_level(n, m, 1)
-    if comb(n - 1, m) > SUBSET_GUARD:
-        raise ValueError(f"too many basis choices: C({n - 1}, {m}) > {SUBSET_GUARD}")
-    cols = range(n - 1)
-    for subset in combinations(cols, m):
-        rest = [c for c in cols if c not in subset]
-        u = pair.u[:, list(subset) + rest]
-        permuted = FeasiblePair(pair.t, u, n)
-        if not lambda_member(permuted, m, d).member:
-            return False
-    return True
 
 
 def delta_member(pair: FeasiblePair) -> bool:

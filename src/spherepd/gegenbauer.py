@@ -33,8 +33,6 @@ __all__ = [
     "eval_1d",
     "coeffs_1d",
     "eval_mv",
-    "domain_gap",
-    "in_domain",
     "monomial_exponents",
     "monomial_vector",
     "addition_coefficients",
@@ -183,20 +181,6 @@ def eval_mv(n: int, m: int, k: int, t, u=(), v=()):
     _check_level(n, m)
     _check_nk(n - m, k)
     return _homogeneous(n - m, k, *_pair_args(t, u, v, m))
-
-
-def domain_gap(t: float, u, v) -> float:
-    """(1-|u|^2)(1-|v|^2) - (t-<u,v>)^2, the bordered-identity determinant.
-
-    Nonnegative (together with |u| <= 1) exactly on the natural domain of
-    the multivariate polynomials.  u and v are vectors of one length.
-    """
-    d, e = _pair_args(t, u, v, np.size(u))
-    return float(e - d * d)
-
-
-def in_domain(t: float, u, v) -> bool:
-    return domain_gap(t, u, v) >= -1e-12 and float(np.dot(u, u)) <= 1.0 + 1e-12
 
 
 @lru_cache(maxsize=None)

@@ -54,6 +54,8 @@ def pair_to_json(pair: FeasiblePair) -> str:
 
 def pair_from_json(text: str) -> FeasiblePair:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a pair file is a JSON object")
     return make_pair(obj["T"], np.asarray(obj["U"], dtype=float), json_int(obj, "n"))
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "project",
     "kernel_matrix",
     "kernel_psd_reports",
-    "bv_matrices",
     "verify_corollary31",
 ]
 
@@ -170,40 +169,6 @@ def kernel_psd_reports(points: PointConfiguration, m: int, lo: int, hi: int) -> 
     _check_level(points.n, m)
     t = points.coords @ points.coords.T
     return _psd_reports(points.n - m, t, project(points, m), lo, hi, symlin.DEFAULT_TOL)
-
-
-def bv_matrices(
-    points: PointConfiguration, k: int, d: int, weights
-) -> tuple[list[SymmetricMatrix], SymmetricMatrix]:
-    """Per-anchor congruence matrices and their sum.
-
-    For each anchor index l, the basis is rotated so the first basis
-    vector is p_l; the level-1 kernel matrix A_l then has entries built
-    from the inner products with the anchor.  Y_l = W A_l W^T with
-    W[i, j] = weights[i] * G_i^{(n+2k)}(<p_j, p_l>).  Every Y_l and the
-    sum of all Y_l are PSD.
-    """
-    points.require_unit()
-    n = points.n
-    if n < 3:
-        raise ValueError("need ambient dimension >= 3")
-    if k < 0 or d < 0:
-        raise ValueError("degrees k and d must be >= 0")
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size != d + 1:
-        raise ValueError(f"need d+1 = {d + 1} weights, got {weights.size}")
-    t = points.coords @ points.coords.T
-    ys = []
-    total = np.zeros((d + 1, d + 1))
-    for l in range(points.size):
-        tl = t[:, l]
-        a_l = _homogeneous(n - 1, k, *_kernel_args(t, tl[:, None]))
-        w = weights[:, None] * np.vstack(list(_homogeneous_upto(n + 2 * k, d, tl, 1.0)))
-        y = w @ a_l @ w.T
-        y = 0.5 * (y + y.T)
-        ys.append(SymmetricMatrix(y))
-        total += y
-    return ys, SymmetricMatrix(total)
 
 
 def verify_corollary31(

@@ -18,7 +18,6 @@ __all__ = [
     "eigenvalues",
     "eigensystem",
     "is_psd",
-    "hadamard",
     "psd_rank",
     "realize",
 ]
@@ -151,15 +150,6 @@ def _rank_mask(w: np.ndarray, tol: float) -> np.ndarray:
 def is_psd(a, tol: float = DEFAULT_TOL) -> PsdReport:
     """Relative-tolerance PSD test: min eigenvalue >= -tol * max(scale, 1)."""
     return _report(eigenvalues(a), tol)
-
-
-def hadamard(a, b) -> SymmetricMatrix:
-    """Entrywise (Schur) product; preserves positive semidefiniteness."""
-    aa = _as_array(a)
-    bb = _as_array(b)
-    if aa.shape != bb.shape:
-        raise ValueError(f"dimension mismatch: {aa.shape[0]} vs {bb.shape[0]}")
-    return SymmetricMatrix(aa * bb)
 
 
 def psd_rank(a, tol: float = DEFAULT_TOL) -> int:

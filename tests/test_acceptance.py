@@ -1,17 +1,25 @@
-"""Acceptance suite: one test per primary criterion.
+"""Acceptance suite: one test per primary criterion, and one that checks the
+README's map of the paper's results onto the library against the library.
 
 Each test prints a single PASS line on success; pytest reports failures
 with the offending metric.
 """
 
+import inspect
+import io
+import re
 import time
+from contextlib import redirect_stdout
 from math import cos, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherepd
 from spherepd import codebounds as cb
 from spherepd import constraints, gegenbauer as gg, spherical, symlin
+from spherepd.cli import main
 from spherepd.codebounds import PartitionPattern
 from spherepd.randgen import rng_for
 from spherepd.spherical import PointConfiguration, named_code, sample_sphere
@@ -283,3 +291,48 @@ def test_criterion_8_soundness_audit():
         audited += 1
     assert audited == 100
     report(f"criterion 8 PASS: {audited} greedy codes audited, no bound undercut")
+
+
+def _paper_map_rows():
+    """The body rows of the README's "Paper map" table, each a list of cells."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Paper map\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.strip() for line in section.splitlines() if line.startswith("|")]
+    return [line.strip("|").split(" | ") for line in lines[2:]]  # after the header and its rule
+
+
+def _is_function(obj) -> bool:
+    # lru_cache wrappers, such as addition_coefficients, are not
+    # inspect.isfunction
+    return callable(obj) and not inspect.isclass(obj)
+
+
+def test_paper_map_covers_the_library():
+    """Every function the README's paper map names exists, with its command
+    and criterion, and every public function of the library is in the map."""
+    rows = _paper_map_rows()
+    assert len(rows) >= 6 and all(len(row) == 4 for row in rows), rows
+    named = set()
+    for _result, functions, command, criterion in rows:
+        for name in re.findall(r"`([^`]+)`", functions):
+            module, _, attr = name.partition(".")
+            obj = getattr(getattr(spherepd, module, None), attr, None)
+            assert not attr.startswith("_") and _is_function(obj), name
+            named.add(name)
+        for sub in re.findall(r"`([a-z][a-z-]*)`", command):
+            with redirect_stdout(io.StringIO()):  # --help prints the usage
+                assert main([sub, "--help"]) == 0, sub
+        for number in re.findall(r"\d+", criterion):
+            assert any(key.startswith(f"test_criterion_{number}_") for key in globals()), number
+    public = set()
+    for module in (getattr(spherepd, name) for name in spherepd.__all__):
+        if not inspect.ismodule(module):
+            continue
+        short = module.__name__.rpartition(".")[2]
+        for attr in getattr(module, "__all__", [a for a in vars(module) if not a.startswith("_")]):
+            obj = getattr(module, attr)
+            if _is_function(obj) and getattr(obj, "__module__", None) == module.__name__:
+                public.add(f"{short}.{attr}")
+    assert len(public) > 40
+    assert public <= named, sorted(public - named)
+    report(f"paper map PASS: {len(rows)} rows name all {len(public)} public functions")

@@ -240,6 +240,26 @@ class TestHierarchy:
         err = capsys.readouterr().err
         assert "cannot read pair file" in err and "entries of T must be finite" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "a pair file is a JSON object"),
+            ('"x"', "a pair file is a JSON object"),
+            ("7", "a pair file is a JSON object"),
+            ('{"n": 3, "T": {"a": 1}, "U": [[1, 0]]}', "not 'dict'"),
+        ],
+        ids=["list", "string", "number", "T-object"],
+    )
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, text, message):
+        # each of these used to escape as a TypeError, exit 1 with a traceback
+        path = tmp_path / "pair.json"
+        path.write_text(text)
+        assert main(["hierarchy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read pair file: ")
+        assert message in captured.err
+
 
 class TestBound:
     def test_lp_config(self, tmp_path, capsys):
@@ -448,6 +468,26 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {key} must be a JSON integer, got ")
+
+    @pytest.mark.parametrize(
+        "cfg, keys",
+        [
+            ({"n": 8, "theta": "pi/3", "degre": 16}, "'degre'"),
+            ({"n": 4, "theta": "pi/2", "coeffs": [0, 1, 1], "coef": [1]}, "'coef'"),
+            ({"n": 4, "theta": "pi/2", "m": 1, "f0": 0.25, "f_diag": 2.0, "B": {"2+1": 2.0},
+              "b": {}, "T": [[1.0]]}, "'T', 'b'"),
+        ],
+        ids=["lp", "certificate", "counting"],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, cfg, keys):
+        # an unknown key used to be ignored: "degre": 16 printed the degree-9
+        # bound, 240.00016044813415, and exited 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown key in bound configuration: {keys}\n"
 
     def test_tiny_certificate_refused(self, tmp_path, capsys):
         # t (1 + t) is positive on (0, 1/2]; its scale must not hide that

@@ -19,7 +19,6 @@ from spherepd.codebounds import (
     estimate_B,
     greedy_code,
     pattern_of,
-    pattern_of_x,
     poly_max_on_interval,
     q_omega,
     q_omega_brute,
@@ -133,30 +132,6 @@ class TestQOmega:
         for big_n in range(1, 9):
             total = sum(q_omega(omega, big_n) for omega in enumerate_patterns(d))
             assert total == big_n ** (d - 1)
-
-
-class TestPatternOfX:
-    def test_all_merged(self):
-        assert pattern_of_x([1.0, 1.0, 1.0], 3, pi / 2).parts == (3,)
-
-    def test_all_distinct(self):
-        assert pattern_of_x([0.0, -0.3, 0.2], 3, pi / 3).parts == (1, 1, 1)
-
-    def test_one_merged_pair(self):
-        assert pattern_of_x([1.0, 0.1, 0.1], 3, pi / 3).parts == (2, 1)
-
-    def test_forbidden_gap(self):
-        with pytest.raises(ValueError, match="forbidden"):
-            pattern_of_x([0.8, 0.0, 0.0], 3, pi / 3)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_entry_refused(self, bad):
-        # NaN fails both the gap test and the merge test, so it used to read
-        # as a pair of distinct points
-        with pytest.raises(ValueError, match="finite"):
-            pattern_of_x([bad], 2, pi / 3)
-        with pytest.raises(ValueError, match="finite"):
-            pattern_of_x([1.0, bad, 0.0], 3, pi / 3)
 
 
 class TestVerifyNonpositive:
@@ -285,7 +260,6 @@ class TestAngleRange:
             lambda: code_audit(named_code("icosahedron"), theta),
             lambda: greedy_code(3, theta, seed=0),
             lambda: CodeProblem(n=3, theta=theta, m=0, f=lambda g: 1.0, f0=1.0),
-            lambda: pattern_of_x([1.0, -1.0, -1.0], 3, theta),
         ]
 
     @pytest.mark.parametrize(

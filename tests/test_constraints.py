@@ -13,7 +13,6 @@ from spherepd.constraints import (
     make_pair,
     pair_from_points,
     reconstruct,
-    s_lambda_member,
 )
 from spherepd.gegenbauer import _homogeneous
 from spherepd.randgen import rng_for
@@ -85,10 +84,6 @@ class TestMembership:
             pair = realizable_pair(5, 6, seed)
             for m in range(4):
                 assert lambda_member(pair, m, d=3).member
-
-    def test_s_lambda_on_realizable(self):
-        pair = realizable_pair(4, 5, seed=3)
-        assert s_lambda_member(pair, 1, d=2)
 
     def test_delta_on_realizable(self):
         assert delta_member(realizable_pair(5, 7, seed=4))

@@ -267,11 +267,6 @@ class TestEvalMv:
                     assert got.tobytes() == np.array(want).tobytes(), (m, k, s)
                     assert all(type(x) is float for x in want)
 
-    def test_domain_gap(self):
-        assert gg.domain_gap(0.0, [0.0], [0.0]) == pytest.approx(1.0)
-        assert gg.in_domain(0.2, [0.1], [0.3])
-        assert not gg.in_domain(0.9999, [0.9], [-0.9])
-
 
 class TestMonomials:
     def test_counts(self):
@@ -740,7 +735,6 @@ def _level_checked_calls():
         "verify_corollary31": (0, lambda m: spherical.verify_corollary31(pts, m, [], 1)),
         "augment": (0, lambda m: constraints.augment(pair, m)),
         "lambda_member": (0, lambda m: constraints.lambda_member(pair, m, 2)),
-        "s_lambda_member": (1, lambda m: constraints.s_lambda_member(pair, m, 2)),
         "euclid_kernel": (0, lambda m: constraints.euclid_kernel(pts, m, 1)),
     }
     return [pytest.param(lo, call, id=name) for name, (lo, call) in calls.items()]

@@ -93,12 +93,6 @@ class TestKernelMatrix:
         km = spherical.kernel_matrix(pts, 2, 0)
         assert np.array_equal(km.base.array, np.ones((6, 6)))
 
-    def test_hadamard_of_kernels_stays_psd(self):
-        pts = sample_sphere(5, 15, seed=4)
-        a = spherical.kernel_matrix(pts, 1, 2).base
-        b = spherical.kernel_matrix(pts, 1, 3).base
-        assert symlin.is_psd(symlin.hadamard(a, b)).is_psd
-
     def test_level_range_guard(self):
         pts = sample_sphere(3, 4, seed=5)
         with pytest.raises(ValueError):
@@ -123,44 +117,6 @@ class TestKernelPsdReports:
             spherical.kernel_psd_reports(pts, 0, -1, 2)
         with pytest.raises(ValueError):
             spherical.kernel_psd_reports(pts, 0, 3, 2)
-
-
-class TestBvMatrices:
-    def test_per_anchor_and_sum_psd(self):
-        pts = sample_sphere(4, 10, seed=6)
-        weights = np.array([1.0, 0.5, 0.25, 0.1])
-        ys, total = spherical.bv_matrices(pts, k=2, d=3, weights=weights)
-        assert len(ys) == 10
-        for y in ys:
-            assert symlin.is_psd(y).is_psd
-        assert symlin.is_psd(total).is_psd
-        assert np.allclose(total.array, sum(y.array for y in ys), atol=1e-12)
-
-    def test_matches_per_degree_rows_bit_for_bit(self):
-        from spherepd.gegenbauer import _homogeneous, eval_1d
-
-        n, k, d = 4, 2, 4
-        pts = sample_sphere(n, 6, seed=12)
-        weights = np.array([1.0, 0.5, 0.25, 0.1, 0.05])
-        ys, _ = spherical.bv_matrices(pts, k=k, d=d, weights=weights)
-        t = pts.coords @ pts.coords.T
-        for l, y in enumerate(ys):
-            tl = t[:, l]
-            a_l = _homogeneous(n - 1, k, t - np.outer(tl, tl), np.outer(1.0 - tl**2, 1.0 - tl**2))
-            w = np.vstack([weights[i] * eval_1d(n + 2 * k, i, tl) for i in range(d + 1)])
-            want = w @ a_l @ w.T
-            assert y.array.tobytes() == (0.5 * (want + want.T)).tobytes(), l
-
-    def test_negative_degrees_refused(self):
-        pts = sample_sphere(4, 5, seed=13)
-        for k, d in [(-1, 2), (1, -1)]:
-            with pytest.raises(ValueError):
-                spherical.bv_matrices(pts, k=k, d=d, weights=np.ones(max(d + 1, 0)))
-
-    def test_zero_weights_give_zero(self):
-        pts = sample_sphere(4, 5, seed=7)
-        ys, total = spherical.bv_matrices(pts, k=1, d=2, weights=np.zeros(3))
-        assert np.max(np.abs(total.array)) == 0.0
 
 
 class TestVerifyExpansion:

@@ -159,10 +159,8 @@ class TestIsPsd:
 
     @pytest.mark.parametrize(
         "fn",
-        [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize,
-         lambda a: symlin.hadamard(a, np.eye(2)), lambda a: symlin.hadamard(np.eye(2), a)],
-        ids=["eigenvalues", "eigensystem", "is_psd", "psd_rank", "realize", "hadamard-left",
-             "hadamard-right"],
+        [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize],
+        ids=["eigenvalues", "eigensystem", "is_psd", "psd_rank", "realize"],
     )
     def test_asymmetric_plain_array_refused(self, fn):
         # its symmetric part is the identity, which would pass as PSD
@@ -208,7 +206,7 @@ class TestEmpty:
     @pytest.mark.parametrize(
         "fn",
         [symlin.eigenvalues, symlin.eigensystem, symlin.is_psd, symlin.psd_rank, symlin.realize,
-         lambda a: symlin.hadamard(a, a), SymmetricMatrix],
+         SymmetricMatrix],
     )
     def test_refused(self, fn):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
@@ -232,15 +230,3 @@ class TestRealize:
         m = random_symmetric(6, seed=4)
         g = SymmetricMatrix(m.array @ m.array.T)
         assert np.array_equal(symlin.realize(g), symlin.realize(g))
-
-
-class TestHadamard:
-    def test_entrywise_product_preserves_psd(self):
-        rng = rng_for(4, 5)
-        a = rng.standard_normal((5, 3))
-        b = rng.standard_normal((5, 3))
-        ga = SymmetricMatrix(a @ a.T)
-        gb = SymmetricMatrix(b @ b.T)
-        prod = symlin.hadamard(ga, gb)
-        assert np.array_equal(prod.array, ga.array * gb.array)
-        assert symlin.is_psd(prod).is_psd
