@@ -258,6 +258,22 @@ def cmd_hierarchy(args) -> RunReport:
     return report
 
 
+def _suprema(b) -> dict:
+    """The "B" object of a counting config: pattern keys of +-joined part
+    sizes, such as "2+1", each mapped to a JSON number."""
+    if not isinstance(b, dict):
+        raise UsageError(f"B must be a JSON object, got {json.dumps(b)}")
+    values = {}
+    for key in b:
+        if not re.fullmatch(r"\d+(\+\d+)*", key, re.ASCII):
+            raise UsageError(f"B key {json.dumps(key)} is not a pattern such as \"2+1\"")
+        pattern = tuple(int(p) for p in key.split("+"))
+        if pattern in values:  # such as "2+1" and "02+1"
+            raise UsageError(f"B key {json.dumps(key)} repeats the pattern of another key")
+        values[pattern] = serialize.json_number(b, key, f"B[{json.dumps(key)}]")
+    return values
+
+
 def cmd_bound(args) -> RunReport:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -274,16 +290,21 @@ def cmd_bound(args) -> RunReport:
             raise UsageError("a bound configuration holds coeffs or f0, not both")
         counting = m != 0 or "f0" in cfg
         if counting:
-            f0, f_diag = float(cfg["f0"]), float(cfg["f_diag"])
-            b_values = {
-                tuple(int(p) for p in key.split("+")): float(val)
-                for key, val in cfg.get("B", {}).items()
-            }
-        elif "coeffs" not in cfg:
+            f0, f_diag = serialize.json_number(cfg, "f0"), serialize.json_number(cfg, "f_diag")
+            b_values = _suprema(cfg.get("B", {}))
+        elif "coeffs" in cfg:
+            coeffs = cfg["coeffs"]
+            if not isinstance(coeffs, list):
+                raise UsageError(
+                    f"coeffs must be a JSON list of coefficients, got {json.dumps(coeffs)}"
+                )
+            coeffs = [serialize.json_number(coeffs, i, f"coefficient coeffs[{i}]")
+                      for i in range(len(coeffs))]
+        else:
             degree = args.degree if args.degree is not None else serialize.json_int(cfg, "degree", 9)
             grid = args.grid if args.grid is not None else serialize.json_int(cfg, "grid", 4096)
-    except (OSError, KeyError, TypeError, AttributeError) as exc:
-        # TypeError and AttributeError: a value of the wrong JSON type
+    except (OSError, KeyError, TypeError) as exc:
+        # TypeError: a value of the wrong JSON type
         raise UsageError(f"bad bound configuration: {exc}") from None
     report = _new_report("bound", {"config": args.config, "n": n, "m": m}, args.seed)
     try:
@@ -295,7 +316,7 @@ def cmd_bound(args) -> RunReport:
                 metric=result.residual_at_next, tolerance=0.0,
             )
         elif "coeffs" in cfg:
-            bound = codebounds.delsarte_bound(cfg["coeffs"], n, theta)
+            bound = codebounds.delsarte_bound(coeffs, n, theta)
             report.add("certificate verified", "pass", metric=bound)
         else:
             cert = codebounds.delsarte_lp(n, theta, degree, grid)

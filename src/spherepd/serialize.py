@@ -25,7 +25,10 @@ __all__ = [
     "pair_from_json",
     "certificate_to_csv",
     "json_int",
+    "json_number",
 ]
+
+PAIR_KEYS = ("n", "T", "U")
 
 
 def json_int(obj: dict, key: str, default: int | None = None) -> int:
@@ -35,6 +38,19 @@ def json_int(obj: dict, key: str, default: int | None = None) -> int:
     if type(value) is not int:  # bool is a subclass of int
         raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
     return value
+
+
+def json_number(obj, key, name: str | None = None) -> float:
+    """obj[key] as a float if it is a JSON number, an integer or a float; a
+    boolean, string, null, list or object is refused, and so is an integer
+    too large for a float.  The error names the value by name, else by key."""
+    value = obj[key]
+    if type(value) not in (int, float):  # bool is a subclass of int
+        raise ValueError(f"{name or key} must be a JSON number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name or key} is too large for a float") from None
 
 
 def points_to_json(points: PointConfiguration) -> str:
@@ -56,6 +72,12 @@ def pair_from_json(text: str) -> FeasiblePair:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a pair file is a JSON object")
+    for key in PAIR_KEYS:
+        if key not in obj:
+            raise ValueError(f"a pair file has no key {key!r}")
+    unknown = ", ".join(map(repr, sorted(set(obj) - set(PAIR_KEYS))))
+    if unknown:
+        raise ValueError(f"a pair file holds only n, T and U, not {unknown}")
     return make_pair(obj["T"], np.asarray(obj["U"], dtype=float), json_int(obj, "n"))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,12 @@ __all__ = [
 ]
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+# Most matrix entries in one stack of kernel matrices handed to a single
+# eigvalsh call (1 MiB of floats), and always at least one matrix.  It
+# bounds memory only: each matrix of a stack gets the eigenvalues of its
+# own call bit for bit, so no report depends on it.
+_STACK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -135,15 +142,43 @@ def project(points: PointConfiguration, m: int) -> np.ndarray:
     return points.coords[:, :m]
 
 
+@lru_cache(maxsize=16)
+def _lower_flat(r: int) -> np.ndarray:
+    """Flat indices of the lower triangle of an r x r matrix, row by row.
+
+    Up to 16 sizes are kept: a verify-psd run meets one, and a hierarchy
+    pair of r points in R^n the n - 1 sizes r + 1..r + n - 1 of its levels.
+    """
+    rows, cols = np.tril_indices(r)
+    flat = rows * r + cols
+    flat.flags.writeable = False
+    return flat
+
+
 def _psd_reports(nu: int, t: np.ndarray, u: np.ndarray, lo: int, hi: int, tol: float):
     """symlin.is_psd of H_lo..H_hi at d = t - u u^T, e = (1-|u_i|^2)(1-|u_j|^2).
 
-    One recurrence pass; each H_k is tested as the pass produces it and
-    then dropped.  It goes to is_psd as it is, with no symmetric copy:
-    for an exactly symmetric t it is exactly symmetric by construction.
+    t is exactly symmetric, so each H_k is too, and only its lower
+    triangle is evaluated: one recurrence pass over the r(r+1)/2 entries
+    of d and e there.  Each H_k is written into the lower triangle of a
+    zeroed slot of a stack of at most _STACK_ENTRIES entries, and each
+    full stack goes to one eigvalsh call, which reads only the lower
+    triangles (symlin._lower_reports).  The reports equal those of
+    is_psd on the full matrices bit for bit.
     """
+    r = t.shape[0]
+    lower = _lower_flat(r)
     d, e = _kernel_args(t, u)
-    return [symlin.is_psd(h, tol) for h in _homogeneous_upto(nu, hi, d, e, lo)]
+    d, e = d.take(lower), e.take(lower)
+    stack = np.zeros((max(1, min(_STACK_ENTRIES // (r * r), hi - lo + 1)), r, r))
+    slots = stack.reshape(len(stack), r * r)
+    reports = []
+    for k, h in enumerate(_homogeneous_upto(nu, hi, d, e, lo), lo):
+        i = (k - lo) % len(stack)
+        slots[i, lower] = h
+        if i == len(stack) - 1 or k == hi:
+            reports += symlin._lower_reports(stack[: i + 1], tol)
+    return reports
 
 
 def kernel_matrix(points: PointConfiguration, m: int, k: int) -> KernelMatrix:

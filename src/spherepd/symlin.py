@@ -137,6 +137,18 @@ def _report(w: np.ndarray, tol: float) -> PsdReport:
     return PsdReport(min_eigenvalue=lo, matrix_scale=scale, tolerance_used=tol)
 
 
+def _lower_reports(stack: np.ndarray, tol: float) -> list[PsdReport]:
+    """The PSD report of each matrix of a (count, r, r) stack, from one
+    eigvalsh call that reads only the lower triangles.
+
+    A matrix built on its lower triangle alone needs no upper one:
+    eigvalsh with UPLO='L' never reads it, so it is neither mirrored nor
+    tested by the rule of _symmetric.  Each matrix gets the eigenvalues,
+    bit for bit, of its own call on the full symmetric matrix.
+    """
+    return [_report(w, tol) for w in np.linalg.eigvalsh(_finite(stack), UPLO="L")]
+
+
 def _rank_mask(w: np.ndarray, tol: float) -> np.ndarray:
     """Eigenvalues above the rank threshold; raises unless w is PSD."""
     report = _report(w, tol)

@@ -241,6 +241,29 @@ class TestHierarchy:
         assert "cannot read pair file" in err and "entries of T must be finite" in err
 
     @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"T": [[1]], "U": [[1, 0]]}, "a pair file has no key 'n'"),
+            ({"n": 3, "U": [[1, 0]]}, "a pair file has no key 'T'"),
+            ({"n": 3, "T": [[1]]}, "a pair file has no key 'U'"),
+            ({"n": 3, "T": [[1]], "U": [[1, 0]], "extra": 1},
+             "a pair file holds only n, T and U, not 'extra'"),
+            ({"n": 3, "T": [[1]], "U": [[1, 0]], "u": [], "P": 0},
+             "a pair file holds only n, T and U, not 'P', 'u'"),
+        ],
+        ids=["no-n", "no-T", "no-U", "extra", "two-unknown"],
+    )
+    def test_missing_or_unknown_key_exits_2(self, tmp_path, capsys, obj, message):
+        # the parent printed only the bare key "'T'" for a missing key, and ran
+        # the pair with an unknown key (exit 0)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(obj))
+        assert main(["hierarchy", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read pair file: {message}\n"
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[1, 2]", "a pair file is a JSON object"),
@@ -488,6 +511,44 @@ class TestBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: unknown key in bound configuration: {keys}\n"
+
+    @pytest.mark.parametrize(
+        "change, err",
+        [
+            ({"m": 0, "f0": True}, "f0 must be a JSON number, got true"),
+            ({"f0": "0.25"}, 'f0 must be a JSON number, got "0.25"'),
+            ({"f_diag": "2"}, 'f_diag must be a JSON number, got "2"'),
+            ({"f0": 10**400}, "f0 is too large for a float"),
+            ({"B": {"2+1": "2"}}, 'B["2+1"] must be a JSON number, got "2"'),
+            ({"B": {"2+1": True}}, 'B["2+1"] must be a JSON number, got true'),
+            ({"B": {" 2 + 1 ": 2.0}}, 'B key " 2 + 1 " is not a pattern such as "2+1"'),
+            ({"B": {"2+": 2.0}}, 'B key "2+" is not a pattern such as "2+1"'),
+            ({"B": [1]}, "B must be a JSON object, got [1]"),
+            ({"B": {"2+1": 5.0, "02+1": 2.0}}, 'B key "02+1" repeats the pattern of another key'),
+            ({"coeffs": ["1", "-1"]}, 'coefficient coeffs[0] must be a JSON number, got "1"'),
+            ({"coeffs": [True, 1, 1]}, "coefficient coeffs[0] must be a JSON number, got true"),
+            ({"coeffs": [0, 1, "1"]}, 'coefficient coeffs[2] must be a JSON number, got "1"'),
+        ],
+        ids=["f0-bool", "f0-string", "f_diag-string", "f0-huge-int", "B-value-string",
+             "B-value-bool", "B-padded-key", "B-open-key", "B-list", "B-same-pattern-twice",
+             "coeffs-strings",
+             "coeffs-bool", "coeffs-last-string"],
+    )
+    def test_non_number_config_exits_2(self, tmp_path, capsys, change, err):
+        # the parent read each of these with float() or int(): "f0": true ran
+        # the counting bound with f0 = 1, the strings gave "bound: 23.0", and
+        # "B": [1] and the huge f0 failed with a message that named no key
+        if "coeffs" in change:
+            cfg = {"n": 4, "theta": "pi/2", **change}
+        else:
+            cfg = {"n": 4, "theta": "pi/2", "m": 1, "f0": 0.25, "f_diag": 2.0,
+                   "B": {"2+1": 2.0}, **change}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
     def test_tiny_certificate_refused(self, tmp_path, capsys):
         # t (1 + t) is positive on (0, 1/2]; its scale must not hide that

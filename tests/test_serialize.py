@@ -29,6 +29,11 @@ class TestPairFormat:
         assert np.allclose(back.t.array, pair.t.array)
         assert np.allclose(back.u, pair.u)
 
+    def test_writes_the_keys_it_reads(self):
+        # pair_from_json refuses any other key, so the writer holds exactly these
+        pair = pair_from_points(sample_sphere(4, 5, seed=3))
+        assert list(json.loads(serialize.pair_to_json(pair))) == list(serialize.PAIR_KEYS)
+
     @pytest.mark.parametrize("n", [3.9, "3", True])
     def test_rejects_non_integer_n(self, n):
         pair = json.loads(serialize.pair_to_json(pair_from_points(sample_sphere(3, 4, seed=3))))

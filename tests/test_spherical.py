@@ -1,5 +1,7 @@
 """Point configurations and kernel matrices on the sphere."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,36 @@ class TestKernelPsdReports:
         want = [symlin.is_psd(spherical.kernel_matrix(pts, m, k).base)
                 for k in range(lo, hi + 1)]
         assert got == want
+
+    @pytest.mark.parametrize(
+        "n,r,lo,hi",
+        [(3, 1, 0, 4), (4, 2, 2, 2), (5, 30, 0, 12), (4, 121, 0, 12), (3, 300, 8, 12),
+         (5, 300, 7, 7)],
+    )
+    def test_lower_triangle_stacks_at_every_level(self, n, r, lo, hi):
+        # each level's matrices are built on their lower triangles and tested
+        # in stacks of at most _STACK_ENTRIES entries: 145 matrices at r = 30,
+        # 8 at r = 121 (so degrees 0..12 take two calls) and 1 at r = 300
+        pts = sample_sphere(n, r, seed=r)
+        for m in range(n - 1):
+            got = spherical.kernel_psd_reports(pts, m, lo, hi)
+            want = [symlin.is_psd(spherical.kernel_matrix(pts, m, k).base)
+                    for k in range(lo, hi + 1)]
+            assert got == want
+
+    def test_peak_memory_at_r_300(self):
+        # t and the full d and e (0.69 MiB each), their lower triangles and
+        # the index cache (0.34 MiB each): about 3.1 MiB, where testing each
+        # full matrix peaks at 4.1 MiB
+        pts = sample_sphere(3, 300, seed=1)
+        spherical._lower_flat.cache_clear()
+        tracemalloc.start()
+        try:
+            spherical.kernel_psd_reports(pts, 0, 8, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * (1 << 20)
 
     def test_guards(self):
         pts = sample_sphere(4, 5, seed=11)

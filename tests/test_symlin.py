@@ -179,6 +179,42 @@ class TestIsPsd:
         assert not below.is_psd
 
 
+class TestLowerReports:
+    """_lower_reports: one eigvalsh call on a stack, reading lower triangles."""
+
+    @staticmethod
+    def stack(seed, count, dim):
+        rng = rng_for(seed, count, dim)
+        b = rng.standard_normal((count, dim, dim - 1))
+        return b @ b.transpose(0, 2, 1) - 0.1 * np.eye(dim)  # not all PSD
+
+    @pytest.mark.parametrize("count,dim", [(1, 1), (1, 7), (5, 6), (9, 40)])
+    def test_equals_is_psd_of_each_matrix(self, count, dim):
+        stack = self.stack(1, count, dim)
+        want = [symlin.is_psd(SymmetricMatrix(a)) for a in stack]
+        assert symlin._lower_reports(stack, symlin.DEFAULT_TOL) == want
+
+    @pytest.mark.parametrize("count,dim", [(1, 7), (5, 6), (9, 40)])
+    def test_upper_triangles_are_not_read(self, count, dim):
+        # what the kernel stacks rely on: their upper triangles are zeros
+        stack = self.stack(2, count, dim)
+        want = [symlin.is_psd(SymmetricMatrix(a)) for a in stack]
+        upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+        for fill in (0.0, 1e6, -3.5):
+            other = stack.copy()
+            other[:, upper] = fill
+            assert symlin._lower_reports(other, symlin.DEFAULT_TOL) == want
+        other = stack.copy()
+        other[:, upper] = rng_for(3, count, dim).standard_normal((count, upper.sum()))
+        assert symlin._lower_reports(other, symlin.DEFAULT_TOL) == want
+
+    def test_non_finite_refused(self):
+        stack = self.stack(4, 3, 5)
+        stack[2, 3, 1] = np.nan
+        with pytest.raises(ValueError, match="entries must be finite"):
+            symlin._lower_reports(stack, symlin.DEFAULT_TOL)
+
+
 NONFINITE = [
     [[-1.0, 0.0], [0.0, np.nan]],  # LAPACK gives eigenvalues [0, -0] for this one
     [[np.nan, 0.0], [0.0, 1.0]],
